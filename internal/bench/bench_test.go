@@ -22,8 +22,10 @@ func TestTable1Output(t *testing.T) {
 	}
 }
 
+// The asserted iteration count is the sequential engine's trajectory,
+// so the test pins Parallelism 1 instead of the GOMAXPROCS default.
 func TestRunOneQueueE1(t *testing.T) {
-	row := RunOne(sketches.QueueE1(), "ed(ee|dd)", Options{Timeout: 2 * time.Minute})
+	row := RunOne(sketches.QueueE1(), "ed(ee|dd)", Options{Timeout: 2 * time.Minute, Parallelism: 1})
 	if row.Err != nil {
 		t.Fatal(row.Err)
 	}

@@ -106,6 +106,8 @@ int f(int[3] xs) implements spec {
 }
 
 // Concurrent CEGIS statistics should populate the Figure 9 columns.
+// Iterations >= 2 is the sequential engine's trajectory (the racing
+// portfolio may hit the right candidate first), so pin Parallelism 1.
 func TestConcurrentStats(t *testing.T) {
 	syn := build(t, `
 int g = 0;
@@ -121,7 +123,7 @@ harness void M() {
 	}
 	assert g == 2;
 }
-`, "M", desugar.Options{}, Options{})
+`, "M", desugar.Options{}, Options{Parallelism: 1})
 	res, err := syn.Synthesize()
 	if err != nil {
 		t.Fatal(err)
