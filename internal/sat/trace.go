@@ -10,8 +10,8 @@ import (
 // Observability wiring. A Solver (or every worker of a Portfolio)
 // carries an optional tracer; with one attached, each solve emits a
 // span with the solver-work deltas of that call (conflicts, decisions,
-// propagations, pool exchange). With no tracer the solve path is
-// untouched — one nil check per Solve call.
+// propagations, restarts, learnt clauses, pool exchange). With no
+// tracer the solve path is untouched — one nil check per Solve call.
 //
 // The span parent is plain state set between solves: solver ownership
 // already alternates strictly (the CEGIS driver or the speculative
@@ -71,6 +71,8 @@ func (s *Solver) SolveCancel2(cancel, cancel2 *atomic.Bool, assumptions ...Lit) 
 		obs.Int("conflicts", s.Stats.Conflicts-before.Conflicts),
 		obs.Int("decisions", s.Stats.Decisions-before.Decisions),
 		obs.Int("propagations", s.Stats.Propagations-before.Propagations),
+		obs.Int("restarts", s.Stats.Restarts-before.Restarts),
+		obs.Int("learned", s.Stats.Learned-before.Learned),
 		obs.Int("exported", s.Stats.Exported-before.Exported),
 		obs.Int("imported", s.Stats.Imported-before.Imported))
 	return sat, canceled
