@@ -4,7 +4,8 @@ import "testing"
 
 // Force the CEGIS loop through counterexample traces: the first SAT
 // model (all zero bits) picks the racy branch, which must be refuted by
-// a trace, and learning must converge on the atomic one.
+// a trace, and learning must converge on the atomic one. That first
+// model is the sequential solver's, so the test pins Parallelism 1.
 func TestConcurrentLearning(t *testing.T) {
 	src := `
 int counter = 0;
@@ -27,7 +28,7 @@ harness void Main() {
 	assert counter == 4;
 }
 `
-	res, err := Synthesize(src, "Main", Options{Verbose: t.Logf})
+	res, err := Synthesize(src, "Main", Options{Verbose: t.Logf, Parallelism: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

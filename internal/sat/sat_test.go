@@ -3,6 +3,7 @@ package sat
 import (
 	"math/rand"
 	"testing"
+	"unsafe"
 )
 
 func TestTrivial(t *testing.T) {
@@ -117,5 +118,13 @@ func TestAssumptions(t *testing.T) {
 	// Incremental reuse after UNSAT-under-assumption.
 	if !s.Solve() {
 		t.Fatal("expected SAT with no assumptions")
+	}
+}
+
+// A watcher is 8 bytes and holds no pointer, so watch lists stay dense
+// and the garbage collector never scans them.
+func TestWatcherLayout(t *testing.T) {
+	if size := unsafe.Sizeof(watcher{}); size != 8 {
+		t.Fatalf("watcher is %d bytes, want 8", size)
 	}
 }
