@@ -111,42 +111,34 @@ func Validate(p *ir.Program, entries []Entry) error {
 // and the accumulated deadlock condition.
 type encState struct {
 	active       circuit.Lit
-	threadActive map[int]circuit.Lit
+	threadActive []circuit.Lit // by thread
 	blockedAll   circuit.Lit
 	anyDeadlock  bool
 }
 
-func newEncState() *encState {
-	return &encState{
-		active:       circuit.True,
-		threadActive: make(map[int]circuit.Lit),
-		blockedAll:   circuit.True,
-	}
+func newEncState(threads int) *encState {
+	st := &encState{threadActive: make([]circuit.Lit, threads)}
+	st.reset()
+	return st
 }
 
-func (st *encState) tact(t int) circuit.Lit {
-	if l, ok := st.threadActive[t]; ok {
-		return l
+// reset returns the state to the start of a projection.
+func (st *encState) reset() {
+	st.active = circuit.True
+	for t := range st.threadActive {
+		st.threadActive[t] = circuit.True
 	}
-	return circuit.True
-}
-
-func (st *encState) clone() *encState {
-	cp := *st
-	cp.threadActive = make(map[int]circuit.Lit, len(st.threadActive))
-	for k, v := range st.threadActive {
-		cp.threadActive[k] = v
-	}
-	return &cp
+	st.blockedAll = circuit.True
+	st.anyDeadlock = false
 }
 
 // applyEntry encodes one projected statement instance, mutating the
-// evaluator and the control state. othersAfter is othersFollow(entries,
-// i) precomputed by the caller (it looks at entries after this one).
+// evaluator and the control state. othersAfter is the entry's
+// lookahead flag: whether a later entry belongs to another thread.
 func applyEntry(b *circuit.Builder, e *sym.Evaluator, p *ir.Program, st *encState, en Entry, othersAfter bool) {
 	seq := p.Threads[en.Thread]
 	step := seq.Steps[en.Step]
-	base := b.And(st.active, st.tact(en.Thread))
+	base := b.And(st.active, st.threadActive[en.Thread])
 	g, c := e.StepParts(seq, step, base)
 	switch {
 	case en.Deadlock:
@@ -156,7 +148,7 @@ func applyEntry(b *circuit.Builder, e *sym.Evaluator, p *ir.Program, st *encStat
 		blocked := b.And(g, c.Not())
 		st.blockedAll = b.And(st.blockedAll, blocked)
 		st.anyDeadlock = true
-		st.threadActive[en.Thread] = b.And(st.tact(en.Thread), blocked.Not())
+		st.threadActive[en.Thread] = b.And(st.threadActive[en.Thread], blocked.Not())
 		g = b.And(g, c)
 	case step.Cond != nil:
 		blocked := b.And(g, c.Not())
@@ -175,9 +167,9 @@ func applyEntry(b *circuit.Builder, e *sym.Evaluator, p *ir.Program, st *encStat
 			// later steps of this thread would execute from a state
 			// that skipped the blocked step.
 			dl := blocked
-			for u := range p.Threads {
+			for u, ta := range st.threadActive {
 				if u != en.Thread {
-					dl = b.And(dl, st.tact(u))
+					dl = b.And(dl, ta)
 				}
 			}
 			e.FailIf(dl)
@@ -197,8 +189,8 @@ func finishEncode(b *circuit.Builder, e *sym.Evaluator, p *ir.Program, st *encSt
 	// The epilogue's correctness checks apply when the trace ran to
 	// completion and no thread is stuck.
 	epiActive := st.active
-	for t := range p.Threads {
-		epiActive = b.And(epiActive, st.tact(t))
+	for _, ta := range st.threadActive {
+		epiActive = b.And(epiActive, ta)
 	}
 	e.RunSeq(p.Epilogue, epiActive)
 	if err := e.Err(); err != nil {
@@ -214,21 +206,29 @@ func Encode(b *circuit.Builder, l *state.Layout, holes []circuit.Word, entries [
 	e := sym.New(b, l, holes)
 	e.RunSeq(p.GlobalInit, circuit.True)
 	e.RunSeq(p.Prologue, circuit.True)
-	st := newEncState()
+	st := newEncState(len(p.Threads))
+	others := lookahead(entries)
 	for i, en := range entries {
-		applyEntry(b, e, p, st, en, othersFollow(entries, i))
+		applyEntry(b, e, p, st, en, others[i])
 	}
 	return finishEncode(b, e, p, st)
 }
 
-// othersFollow reports whether any entry after position i belongs to a
-// different thread ("some other thread can make progress").
-func othersFollow(entries []Entry, i int) bool {
-	t := entries[i].Thread
-	for j := i + 1; j < len(entries); j++ {
-		if entries[j].Thread != t {
-			return true
+// lookahead returns, for every entry, whether a later entry belongs to
+// a different thread ("some other thread can make progress"). One
+// backward pass: tail is the thread owning every entry after i, or -1
+// once entries of two threads follow.
+func lookahead(entries []Entry) []bool {
+	out := make([]bool, len(entries))
+	if len(entries) == 0 {
+		return out
+	}
+	tail := entries[len(entries)-1].Thread
+	for i := len(entries) - 2; i >= 0; i-- {
+		if t := entries[i].Thread; t != tail {
+			out[i] = true
+			tail = -1
 		}
 	}
-	return false
+	return out
 }

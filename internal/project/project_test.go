@@ -12,7 +12,7 @@ import (
 	"psketch/internal/sym"
 )
 
-func pipeline(t *testing.T, src string, opts desugar.Options) (*desugar.Sketch, *ir.Program, *state.Layout) {
+func pipeline(t testing.TB, src string, opts desugar.Options) (*desugar.Sketch, *ir.Program, *state.Layout) {
 	t.Helper()
 	prog, err := parser.Parse(src)
 	if err != nil {

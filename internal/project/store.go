@@ -12,14 +12,14 @@ import (
 // builds and a later run of the *same* sketch can start from: the
 // hash-consed circuit builder (which already holds every structural
 // constraint and projected clause encoded so far), the hole input
-// words allocated on it, and the projection cache with its memoized
-// trace-prefix snapshots. All three are bound together — circuit
-// literals are only meaningful within their builder — so they are
-// checked out and returned as one unit.
+// words allocated on it, and the projection cache with its prefix trie
+// of memoized trace-prefix encodings. All three are bound together —
+// circuit literals are only meaningful within their builder — so they
+// are checked out and returned as one unit.
 //
 // Soundness: everything retained here is a fact about the sketch's
 // whole candidate space (structural constraints, hash-consed circuit
-// nodes, projection snapshots keyed by trace entries), never about one
+// nodes, projection trie nodes keyed by trace entries), never about one
 // job's candidate or schedule, so replaying a warm context for a new
 // request of the same (source, target, desugar options) triple yields
 // bit-identical encodings — internal/sketches' warm cross-check pins
@@ -36,7 +36,7 @@ type WarmState struct {
 
 // SizeBytes estimates the context's retained memory (the store's LRU
 // eviction unit): the builder's encoded clauses plus the projection
-// cache's snapshots.
+// cache's prefix trie.
 func (w *WarmState) SizeBytes() int64 {
 	if w == nil || w.Cache == nil {
 		return 0

@@ -10,10 +10,10 @@ import (
 )
 
 // fakeState fabricates a WarmState whose SizeBytes is dominated by the
-// given snapshot-byte count (plus the empty builder's fixed overhead),
-// so eviction tests can dial sizes precisely.
-func fakeState(snapBytes int64) *WarmState {
-	return &WarmState{Cache: &Cache{b: circuit.NewBuilder(), snapBytes: snapBytes}}
+// given trie-byte count (plus the empty builder's fixed overhead), so
+// eviction tests can dial sizes precisely.
+func fakeState(trieBytes int64) *WarmState {
+	return &WarmState{Cache: &Cache{b: circuit.NewBuilder(), trieBytes: trieBytes}}
 }
 
 func TestStoreAcquireIsExclusive(t *testing.T) {
@@ -40,7 +40,7 @@ func TestStoreAcquireIsExclusive(t *testing.T) {
 func TestStoreEvictsLRUUnderByteBound(t *testing.T) {
 	m := obs.NewMetrics()
 	unit := fakeState(0).SizeBytes() // empty-builder overhead per entry
-	// Room for two entries of snapBytes 256 each, not three.
+	// Room for two entries of trieBytes 256 each, not three.
 	s := NewStore(2*(unit+256)+1, m)
 	s.Release("a", fakeState(256))
 	s.Release("b", fakeState(256))
@@ -133,7 +133,7 @@ func TestStoreConcurrentCheckoutDiscipline(t *testing.T) {
 				if w == nil {
 					w = fakeState(int64(i % 512))
 				}
-				w.Cache.snapBytes++ // exclusive by the checkout contract
+				w.Cache.trieBytes++ // exclusive by the checkout contract
 				s.Release(key, w)
 			}
 		}(g)

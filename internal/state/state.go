@@ -22,21 +22,25 @@ type Layout struct {
 	Size int // number of value cells (excluding pcs)
 
 	globalOff []int
-	heapBase  map[string]int
-	fieldIdx  map[string]int // "Struct.field" -> field position
-	fieldCnt  map[string]int
+	structs   map[string]*structLayout
 	seqBase   map[*ir.Seq][]int // per-seq local offsets (by local index)
 	sharedEnd int               // cells [0,sharedEnd) are globals + arenas
+}
+
+// structLayout places one struct's heap arena: slot s (1-based) holds
+// its fields at cells base+(s-1)*len(fields) onwards, in field order.
+type structLayout struct {
+	base   int
+	arena  int
+	fields map[string]int // field name -> field position
 }
 
 // NewLayout computes the layout for a lowered program.
 func NewLayout(p *ir.Program) (*Layout, error) {
 	l := &Layout{
-		Prog:     p,
-		heapBase: map[string]int{},
-		fieldIdx: map[string]int{},
-		fieldCnt: map[string]int{},
-		seqBase:  map[*ir.Seq][]int{},
+		Prog:    p,
+		structs: map[string]*structLayout{},
+		seqBase: map[*ir.Seq][]int{},
 	}
 	off := 0
 	cells := func(t types.Type) int {
@@ -54,16 +58,15 @@ func NewLayout(p *ir.Program) (*Layout, error) {
 	// plus the sketch's struct declarations.
 	for _, sd := range p.Sketch.Prog.Structs {
 		si := p.Sketch.Info.Structs[sd.Name]
-		n := len(si.Fields)
+		sl := &structLayout{base: off, arena: p.Arenas[sd.Name], fields: make(map[string]int, len(si.Fields))}
 		for fi, f := range si.Fields {
 			if f.Type.IsArray() {
 				return nil, fmt.Errorf("state: struct %s has array field %s (not supported)", sd.Name, f.Name)
 			}
-			l.fieldIdx[sd.Name+"."+f.Name] = fi
+			sl.fields[f.Name] = fi
 		}
-		l.fieldCnt[sd.Name] = n
-		l.heapBase[sd.Name] = off
-		off += n * p.Arenas[sd.Name]
+		l.structs[sd.Name] = sl
+		off += len(sl.fields) * sl.arena
 	}
 	l.sharedEnd = off
 	for _, seq := range l.allSeqs() {
@@ -110,16 +113,18 @@ func (l *Layout) LocalOff(seq *ir.Seq, i int) int { return l.seqBase[seq][i] }
 // FieldOff returns the cell offset of field f of slot s (1-based) in
 // the arena of the named struct.
 func (l *Layout) FieldOff(structName, field string, slot int32) (int, error) {
-	fi, ok := l.fieldIdx[structName+"."+field]
+	sl := l.structs[structName]
+	fi, ok := 0, false
+	if sl != nil {
+		fi, ok = sl.fields[field]
+	}
 	if !ok {
 		return 0, fmt.Errorf("state: unknown field %s.%s", structName, field)
 	}
-	n := l.fieldCnt[structName]
-	arena := l.Prog.Arenas[structName]
-	if slot < 1 || int(slot) > arena {
-		return 0, fmt.Errorf("state: slot %d out of arena %s[%d]", slot, structName, arena)
+	if slot < 1 || int(slot) > sl.arena {
+		return 0, fmt.Errorf("state: slot %d out of arena %s[%d]", slot, structName, sl.arena)
 	}
-	return l.heapBase[structName] + (int(slot)-1)*n + fi, nil
+	return sl.base + (int(slot)-1)*len(sl.fields) + fi, nil
 }
 
 // State is a machine state: the value cells plus one program counter

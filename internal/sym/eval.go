@@ -226,7 +226,7 @@ func (e *Evaluator) writeLoc(entries []locEntry, v val, g circuit.Lit) {
 		ci := e.info[en.off]
 		nw := e.coerce(v.w, ci)
 		sel := e.B.And(g, en.cond)
-		e.cells[en.off] = e.B.MuxW(sel, nw, e.cells[en.off])
+		e.setCell(en.off, e.B.MuxW(sel, nw, e.cells[en.off]))
 	}
 }
 

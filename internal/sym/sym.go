@@ -8,6 +8,7 @@ package sym
 
 import (
 	"fmt"
+	"slices"
 
 	"psketch/internal/circuit"
 	"psketch/internal/desugar"
@@ -41,6 +42,12 @@ type Evaluator struct {
 
 	// err records a structural problem (not a program failure).
 	err error
+
+	// written lists, in first-write order, the cells changed since the
+	// last TakeWrites or Restore; wmark flags them. Both stay nil until
+	// LogWrites turns the log on.
+	written []int32
+	wmark   []bool
 }
 
 // New builds an evaluator with zeroed cells. holes[i] must have exactly
@@ -86,18 +93,6 @@ type Snapshot struct {
 	err   error
 }
 
-// SizeBytes estimates the snapshot's retained memory: the cell backing
-// array plus each word's literal slice (words are shared between
-// snapshots of one builder, so this over-counts shared tails — it is a
-// bound for cache-eviction accounting, not an exact measurement).
-func (s Snapshot) SizeBytes() int64 {
-	n := int64(len(s.cells)) * 24 // slice headers
-	for _, w := range s.cells {
-		n += int64(len(w)) * 4 // circuit.Lit is an int32
-	}
-	return n
-}
-
 // Snapshot captures the current machine state.
 func (e *Evaluator) Snapshot() Snapshot {
 	return Snapshot{
@@ -108,12 +103,56 @@ func (e *Evaluator) Snapshot() Snapshot {
 }
 
 // Restore rewinds the machine to a snapshot taken on an evaluator with
-// the same layout. Because the builder is hash-consed, re-running the
-// same steps from a restored state rebuilds bit-identical literals.
+// the same layout and clears the write log. Because the builder is
+// hash-consed, re-running the same steps from a restored state rebuilds
+// bit-identical literals.
 func (e *Evaluator) Restore(s Snapshot) {
 	copy(e.cells, s.cells)
 	e.Fail = s.fail
 	e.err = s.err
+	e.clearLog()
+}
+
+// LogWrites turns on the write log: from now on every cell write that
+// changes a cell's word is recorded for TakeWrites.
+func (e *Evaluator) LogWrites() {
+	if e.wmark == nil {
+		e.wmark = make([]bool, len(e.cells))
+	}
+}
+
+// TakeWrites calls f with the offset and current word of every cell
+// changed since the previous TakeWrites or Restore, once per cell in
+// first-write order, and clears the log. Replaying the pairs with
+// SetCell onto the state the log started from reproduces the current
+// cells exactly.
+func (e *Evaluator) TakeWrites(f func(off int, w circuit.Word)) {
+	for _, off := range e.written {
+		f(int(off), e.cells[off])
+	}
+	e.clearLog()
+}
+
+// SetCell overwrites one cell without logging the write. w must have
+// the cell's width and must not be mutated afterwards.
+func (e *Evaluator) SetCell(off int, w circuit.Word) { e.cells[off] = w }
+
+func (e *Evaluator) clearLog() {
+	for _, off := range e.written {
+		e.wmark[off] = false
+	}
+	e.written = e.written[:0]
+}
+
+// setCell stores w in a cell, logging the write when the log is on and
+// the word changes. writeLoc and SetVarCells, the only cell writers,
+// both go through here, so the log sees every change.
+func (e *Evaluator) setCell(off int, w circuit.Word) {
+	if e.wmark != nil && !e.wmark[off] && !slices.Equal(w, e.cells[off]) {
+		e.wmark[off] = true
+		e.written = append(e.written, int32(off))
+	}
+	e.cells[off] = w
 }
 
 func (e *Evaluator) fail(g circuit.Lit, cond circuit.Lit) {
@@ -212,7 +251,7 @@ func (e *Evaluator) SetVarCells(seq *ir.Seq, name string, ws []circuit.Word) err
 		return fmt.Errorf("sym: %s has %d cells, got %d words", name, n, len(ws))
 	}
 	for j, w := range ws {
-		e.cells[off+j] = e.coerce(w, e.info[off+j])
+		e.setCell(off+j, e.coerce(w, e.info[off+j]))
 	}
 	return nil
 }

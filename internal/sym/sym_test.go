@@ -1,6 +1,7 @@
 package sym
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -256,5 +257,64 @@ func TestSymbolicDivByZero(t *testing.T) {
 	// failure is expected here...
 	if ok, v := e.Fail.IsConst(); !ok || v {
 		t.Fatalf("guarded division flagged a failure: %v", e.Fail)
+	}
+}
+
+// The write log must capture every cell a step changes: replaying the
+// logged words step by step onto the starting state rebuilds the final
+// cells exactly, and no take reports a cell twice.
+func TestWriteLogReplays(t *testing.T) {
+	p, l, sk := buildCross(t)
+	bld := circuit.NewBuilder()
+	e := New(bld, l, HoleInputs(bld, sk))
+	e.LogWrites()
+	start := e.Snapshot()
+	seq := p.Prologue
+	type write struct {
+		off int
+		w   circuit.Word
+	}
+	var steps [][]write
+	take := func() {
+		var ws []write
+		seen := map[int]bool{}
+		e.TakeWrites(func(off int, w circuit.Word) {
+			if seen[off] {
+				t.Fatalf("cell %d reported twice in one take", off)
+			}
+			seen[off] = true
+			ws = append(ws, write{off, w})
+		})
+		steps = append(steps, ws)
+	}
+	for _, in := range []string{"a", "b"} {
+		if err := e.SetVarCells(seq, in, []circuit.Word{bld.InputW(p.W)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	take()
+	for _, sq := range []*ir.Seq{p.GlobalInit, seq} {
+		for _, step := range sq.Steps {
+			e.RunStep(sq, step, circuit.True, FailWhenBlocked)
+			take()
+		}
+	}
+	if err := e.Err(); err != nil {
+		t.Fatal(err)
+	}
+	final := e.Snapshot()
+	e.Restore(start)
+	for _, ws := range steps {
+		for _, w := range ws {
+			e.SetCell(w.off, w.w)
+		}
+	}
+	if len(steps[0]) != 2 {
+		t.Fatalf("binding two inputs logged %d writes, want 2", len(steps[0]))
+	}
+	for off := range final.cells {
+		if !slices.Equal(e.cells[off], final.cells[off]) {
+			t.Fatalf("cell %d: replayed %v, want %v", off, e.cells[off], final.cells[off])
+		}
 	}
 }
