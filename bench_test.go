@@ -505,7 +505,7 @@ func BenchmarkMC_Exhaustive_QueueE1(b *testing.B) {
 }
 
 // BenchmarkSynthPortfolio_QueueE2 runs the full CEGIS loop on the
-// Figure 1 queue sketch with the parallel pipeline off (-j 1, the
+// Figure 1 queue sketch with the parallel engine off (-j 1, the
 // deterministic paper configuration) and on (-j 4: SAT portfolio +
 // sharded verifier).
 func BenchmarkSynthPortfolio_QueueE2(b *testing.B) {

@@ -1,6 +1,8 @@
 // Command docslint keeps README.md honest about the CLI surface: it
 // parses every cmd/*/main.go for flag definitions and fails when a
-// flag (or a whole command) is missing from README.md.
+// flag (or a whole command) is missing from README.md, or when a README
+// flag-table row (a line starting "| `-name`") names a flag that no
+// command defines.
 //
 //	docslint            # lint README.md against cmd/*/main.go
 //	docslint -root dir  # lint another checkout
@@ -20,6 +22,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"sort"
 	"strconv"
 	"strings"
@@ -29,44 +32,81 @@ func main() {
 	root := flag.String("root", ".", "repository root (containing README.md and cmd/)")
 	flag.Parse()
 
-	readme, err := os.ReadFile(filepath.Join(*root, "README.md"))
+	problems, ncmd, err := lint(*root)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "docslint:", err)
 		os.Exit(2)
 	}
-	mains, err := filepath.Glob(filepath.Join(*root, "cmd", "*", "main.go"))
+	if len(problems) > 0 {
+		for _, m := range problems {
+			fmt.Println("FAIL ", m)
+		}
+		fmt.Printf("docslint: %d undocumented or stale flag(s)/command(s)\n", len(problems))
+		os.Exit(1)
+	}
+	fmt.Printf("docslint: %d command(s) documented\n", ncmd)
+}
+
+// lint checks README.md under root against cmd/*/main.go in both
+// directions and returns one line per problem plus the command count.
+func lint(root string) (problems []string, ncmd int, err error) {
+	data, err := os.ReadFile(filepath.Join(root, "README.md"))
+	if err != nil {
+		return nil, 0, err
+	}
+	readme := string(data)
+	mains, err := filepath.Glob(filepath.Join(root, "cmd", "*", "main.go"))
 	if err != nil || len(mains) == 0 {
-		fmt.Fprintln(os.Stderr, "docslint: no cmd/*/main.go found")
-		os.Exit(2)
+		return nil, 0, fmt.Errorf("no cmd/*/main.go found")
 	}
 	sort.Strings(mains)
 
-	var missing []string
+	defined := map[string]bool{}
 	for _, path := range mains {
 		cmd := filepath.Base(filepath.Dir(path))
-		if !strings.Contains(string(readme), cmd) {
-			missing = append(missing, fmt.Sprintf("command %q is not mentioned in README.md", cmd))
-			continue
-		}
 		flags, err := flagNames(path)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "docslint:", err)
-			os.Exit(2)
+			return nil, 0, err
 		}
 		for _, name := range flags {
-			if !strings.Contains(string(readme), "-"+name) {
-				missing = append(missing, fmt.Sprintf("%s: flag -%s is not documented in README.md", cmd, name))
+			defined[name] = true
+		}
+		if !strings.Contains(readme, cmd) {
+			problems = append(problems, fmt.Sprintf("command %q is not mentioned in README.md", cmd))
+			continue
+		}
+		for _, name := range flags {
+			if !strings.Contains(readme, "-"+name) {
+				problems = append(problems, fmt.Sprintf("%s: flag -%s is not documented in README.md", cmd, name))
 			}
 		}
 	}
-	if len(missing) > 0 {
-		for _, m := range missing {
-			fmt.Println("FAIL ", m)
+	for _, name := range readmeFlags(readme) {
+		if !defined[name] {
+			problems = append(problems, fmt.Sprintf("README.md documents flag -%s, which no cmd/*/main.go defines", name))
 		}
-		fmt.Printf("docslint: %d undocumented flag(s)/command(s)\n", len(missing))
-		os.Exit(1)
 	}
-	fmt.Printf("docslint: %d command(s) documented\n", len(mains))
+	return problems, len(mains), nil
+}
+
+// flagCell matches one `-name` (optionally followed by an argument
+// placeholder, as in `-all N`) inside a README table cell.
+var flagCell = regexp.MustCompile("`-([A-Za-z0-9][A-Za-z0-9-]*)[^`]*`")
+
+// readmeFlags returns the flag names in the first cell of every README
+// flag-table row, in order of appearance.
+func readmeFlags(readme string) []string {
+	var names []string
+	for _, line := range strings.Split(readme, "\n") {
+		if !strings.HasPrefix(line, "| `-") {
+			continue
+		}
+		cell := strings.SplitN(line, "|", 3)[1]
+		for _, m := range flagCell.FindAllStringSubmatch(cell, -1) {
+			names = append(names, m[1])
+		}
+	}
+	return names
 }
 
 // flagNames extracts the names passed to flag.String/Bool/Int/... calls

@@ -37,8 +37,6 @@ func main() {
 		par        = flag.Int("j", runtime.GOMAXPROCS(0), "solver/verifier parallelism (use 1 for deterministic paper-comparable runs)")
 		noPOR      = flag.Bool("nopor", false, "disable the verifier's partial-order reduction (ablation)")
 		noSym      = flag.Bool("nosym", false, "disable the verifier's thread-symmetry reduction (ablation)")
-		compress   = flag.String("compress", "", "verifier visited-set compression: collapse or bitstate (forces sequential verification)")
-		pipeline   = flag.Bool("pipeline", true, "overlap speculative solves with verification (needs -j > 1)")
 		share      = flag.Bool("share-clauses", true, "share learned clauses between SAT portfolio workers (needs -j > 1)")
 		proof      = flag.Bool("proofcheck", false, "log DRAT proofs and replay every UNSAT verdict through the backward checker")
 		jsonOut    = flag.String("json", "", "write the measured Figure 9 rows to this file as JSON")
@@ -153,8 +151,7 @@ func main() {
 	opts := bench.Options{
 		Filter: *filter, Timeout: *timeout, IncludeExtras: *extras,
 		TracesPerIteration: *traces, Parallelism: *par, NoPOR: *noPOR,
-		NoSymmetry: *noSym, MCCompress: *compress,
-		NoPipeline: !*pipeline, NoShareClauses: !*share, Proof: *proof,
+		NoSymmetry: *noSym, NoShareClauses: !*share, Proof: *proof,
 		Cubes: *cubes, CubeWorkers: *cubeWork,
 		RankEmitted: *rankEmit, MaxSolutions: *maxSol,
 		Trace: tr, Metrics: met, HeapSampleEvery: *heapSample,

@@ -35,8 +35,6 @@ func main() {
 		traces    = flag.Int("traces", 1, "counterexample traces per CEGIS iteration")
 		par       = flag.Int("j", runtime.GOMAXPROCS(0), "solver/verifier parallelism (1 = deterministic)")
 		noSym     = flag.Bool("nosym", false, "disable the verifier's thread-symmetry reduction")
-		compress  = flag.String("compress", "", "verifier visited-set compression: collapse or bitstate (forces sequential search)")
-		pipeline  = flag.Bool("pipeline", true, "overlap speculative solves with verification (needs -j > 1)")
 		share     = flag.Bool("share-clauses", true, "share learned clauses between SAT portfolio workers (needs -j > 1)")
 		proof     = flag.Bool("proofcheck", false, "log DRAT proofs and replay every UNSAT verdict through the backward checker")
 		journal   = flag.String("journal", "", "write a structured run journal (JSONL) to this file; inspect with psktrace")
@@ -129,8 +127,6 @@ func main() {
 		MaxSolutions:       *maxSol,
 		Parallelism:        *par,
 		NoSymmetry:         *noSym,
-		MCCompress:         *compress,
-		NoPipeline:         !*pipeline,
 		NoShareClauses:     !*share,
 		Proof:              *proof,
 		Cubes:              *cubes,
@@ -204,9 +200,9 @@ func main() {
 	}
 	if res.Cube != nil && *verbose {
 		for _, pc := range res.Cube.PerCube {
-			fmt.Fprintf(os.Stderr, "cube %d: resolved=%v exhausted=%v canceled=%v remote=%v stolen=%v iters=%d remote_traces=%d pruned=%d\n",
+			fmt.Fprintf(os.Stderr, "cube %d: resolved=%v exhausted=%v canceled=%v remote=%v stolen=%v iters=%d remote_traces=%d\n",
 				pc.ID, pc.Resolved, pc.Exhausted, pc.Canceled, pc.Remote, pc.Stolen,
-				pc.Stats.Iterations, pc.RemoteTraces, pc.PrunedByRemote)
+				pc.Stats.Iterations, pc.RemoteTraces)
 		}
 	}
 	if !res.Resolved {

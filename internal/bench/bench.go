@@ -53,11 +53,7 @@ type Row struct {
 	Parallelism    int
 	SATWorkers     []sat.WorkerStats
 	MCWorkerStates []int
-	// Pipeline columns: speculative solves launched/adopted and their
-	// overlapped wall time; clause-sharing and projection-cache totals.
-	SpecSolves  int
-	SpecHits    int
-	SpecSolve   time.Duration
+	// Clause-sharing and projection-cache totals.
 	SATExported int64
 	SATImported int64
 	ProjHits    int64
@@ -74,16 +70,14 @@ type Row struct {
 	// Cube-and-conquer columns (zero unless Options.Cubes > 1): actual
 	// cube count, winning cube (-1 for NO), cubes run by stealing
 	// workers, per-cube iteration counts, and the cross-cube exchange
-	// totals (bus clauses, relayed traces, candidates pruned by a
-	// remote trace before local verification).
-	Cubes              int
-	CubeWinner         int
-	CubeStolen         int64
-	CubeIters          []int
-	SATBusExported     int64
-	SATBusImported     int64
-	CubeRemoteTraces   int64
-	CubePrunedByRemote int64
+	// totals (bus clauses, relayed traces).
+	Cubes            int
+	CubeWinner       int
+	CubeStolen       int64
+	CubeIters        []int
+	SATBusExported   int64
+	SATBusImported   int64
+	CubeRemoteTraces int64
 }
 
 // Options configure a benchmark sweep.
@@ -113,13 +107,6 @@ type Options struct {
 	// NoSymmetry disables the verifier's thread-symmetry reduction
 	// (ablation; on by default).
 	NoSymmetry bool
-	// MCCompress selects the verifier's visited-set representation
-	// ("", "collapse", or "bitstate"; non-empty forces the verifier
-	// sequential).
-	MCCompress string
-	// NoPipeline disables the speculative solve/verify overlap
-	// (ablation; on by default at Parallelism > 1).
-	NoPipeline bool
 	// NoShareClauses disables portfolio clause sharing (ablation).
 	NoShareClauses bool
 	// Proof replays every committed UNSAT verdict through the DRAT
@@ -202,8 +189,6 @@ func RunOne(b *sketches.Benchmark, test string, opts Options) Row {
 		Parallelism:        opts.Parallelism,
 		NoPOR:              opts.NoPOR,
 		NoSymmetry:         opts.NoSymmetry,
-		MCCompress:         opts.MCCompress,
-		NoPipeline:         opts.NoPipeline,
 		NoShareClauses:     opts.NoShareClauses,
 		Proof:              opts.Proof,
 		Cancel:             &cancel,
@@ -287,7 +272,6 @@ func RunOne(b *sketches.Benchmark, test string, opts Options) Row {
 		for _, pc := range o.cr.PerCube {
 			row.CubeIters = append(row.CubeIters, pc.Stats.Iterations)
 			row.CubeRemoteTraces += pc.RemoteTraces
-			row.CubePrunedByRemote += pc.PrunedByRemote
 		}
 	}
 	row.SATBusExported = res.Stats.SATBusExported
@@ -311,9 +295,6 @@ func RunOne(b *sketches.Benchmark, test string, opts Options) Row {
 	row.Parallelism = res.Stats.Parallelism
 	row.SATWorkers = res.Stats.SATWorkers
 	row.MCWorkerStates = res.Stats.MCWorkerStates
-	row.SpecSolves = res.Stats.SpecSolves
-	row.SpecHits = res.Stats.SpecHits
-	row.SpecSolve = res.Stats.SpecSolve
 	row.SATExported = res.Stats.SATExported
 	row.SATImported = res.Stats.SATImported
 	row.ProjHits = res.Stats.ProjHits
@@ -428,9 +409,8 @@ func workerLine(row Row) string {
 		fmt.Fprintf(&b, "w%d:%dst", i, n)
 	}
 	b.WriteString("]\n")
-	fmt.Fprintf(&b, "%-9s %-14s |   pipe[%d spec, %d adopted, %s overlapped] proj[%d hit/%d miss, %d entries saved]\n",
-		"", "", row.SpecSolves, row.SpecHits, short(row.SpecSolve),
-		row.ProjHits, row.ProjMisses, row.ProjSaved)
+	fmt.Fprintf(&b, "%-9s %-14s |   proj[%d hit/%d miss, %d entries saved]\n",
+		"", "", row.ProjHits, row.ProjMisses, row.ProjSaved)
 	return b.String()
 }
 
@@ -441,8 +421,8 @@ func cubeLine(row Row) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "%-9s %-14s |   cubes=%d winner=%d stolen=%d iters=%v",
 		"", "", row.Cubes, row.CubeWinner, row.CubeStolen, row.CubeIters)
-	fmt.Fprintf(&b, " bus[%dexp/%dimp] traces[%d relayed, %d pruned]\n",
-		row.SATBusExported, row.SATBusImported, row.CubeRemoteTraces, row.CubePrunedByRemote)
+	fmt.Fprintf(&b, " bus[%dexp/%dimp] traces[%d relayed]\n",
+		row.SATBusExported, row.SATBusImported, row.CubeRemoteTraces)
 	return b.String()
 }
 

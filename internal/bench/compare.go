@@ -93,10 +93,9 @@ func (g *GateResult) warnf(format string, args ...any) {
 // the candidate ran unfiltered. Rows new in the candidate are checked
 // against their own Expected verdict but have no timing baseline.
 //
-// Configuration skew (different parallelism, pipeline, clause
-// sharing, POR, traces, or host) demotes nothing to a failure but is
-// surfaced as warnings, since the timing comparison is then
-// unreliable. Header fields absent from an older baseline (host
+// Configuration skew (different parallelism, clause sharing, POR,
+// traces, or host) demotes nothing to a failure but is surfaced as
+// warnings, since the timing comparison is then unreliable. Header fields absent from an older baseline (host
 // info, proof flag) are treated as unknown, not as a mismatch.
 func Gate(baseline, candidate []byte, o GateOptions) (*GateResult, error) {
 	var base, cand jsonReport
@@ -225,8 +224,7 @@ func GateJournals(baseline, candidate []byte, o GateOptions) (*GateResult, error
 		}
 	}
 
-	// Per-phase totals across the whole journal. Speculative solving
-	// overlaps verification, so spec time is advisory only.
+	// Per-phase totals across the whole journal.
 	bt, ct := bj.PhaseTotals(), cj.PhaseTotals()
 	for _, p := range obs.Phases {
 		bms, cms := float64(bt[p])/1e6, float64(ct[p])/1e6
@@ -235,12 +233,8 @@ func GateJournals(baseline, candidate []byte, o GateOptions) (*GateResult, error
 		}
 		g.Compared++
 		if cms > floor && bms > 0 && cms > tol*bms {
-			if p == obs.PhaseSpec {
-				g.warnf("phase %s: %.0fms vs baseline %.0fms (%.1fx; overlapped, not gated)", p, cms, bms, cms/bms)
-			} else {
-				g.failf("phase %s: %.0fms vs baseline %.0fms (%.1fx > %.1fx tolerance)",
-					p, cms, bms, cms/bms, tol)
-			}
+			g.failf("phase %s: %.0fms vs baseline %.0fms (%.1fx > %.1fx tolerance)",
+				p, cms, bms, cms/bms, tol)
 		}
 	}
 	return g, nil
@@ -253,9 +247,6 @@ func compareOptions(g *GateResult, b, c jsonOptions) {
 	if b.Parallelism != c.Parallelism {
 		g.warnf("config: parallelism %d vs baseline %d — timings not comparable", c.Parallelism, b.Parallelism)
 	}
-	if b.Pipeline != c.Pipeline {
-		g.warnf("config: pipeline %v vs baseline %v", c.Pipeline, b.Pipeline)
-	}
 	if b.ShareClauses != c.ShareClauses {
 		g.warnf("config: share_clauses %v vs baseline %v", c.ShareClauses, b.ShareClauses)
 	}
@@ -264,9 +255,6 @@ func compareOptions(g *GateResult, b, c jsonOptions) {
 	}
 	if b.Symmetry != nil && c.Symmetry != nil && *b.Symmetry != *c.Symmetry {
 		g.warnf("config: symmetry %v vs baseline %v", *c.Symmetry, *b.Symmetry)
-	}
-	if b.MCCompress != c.MCCompress {
-		g.warnf("config: mc_compress %q vs baseline %q — memory not comparable", c.MCCompress, b.MCCompress)
 	}
 	if b.TracesPerIteration != c.TracesPerIteration {
 		g.warnf("config: traces_per_iteration %d vs baseline %d", c.TracesPerIteration, b.TracesPerIteration)

@@ -20,7 +20,6 @@ func mustJSON(t *testing.T, rep jsonReport) []byte {
 func report(rows ...jsonRow) jsonReport {
 	var rep jsonReport
 	rep.Options.Parallelism = 4
-	rep.Options.Pipeline = true
 	rep.Options.ShareClauses = true
 	rep.Options.POR = true
 	rep.Options.TracesPerIteration = 1

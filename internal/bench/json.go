@@ -41,14 +41,11 @@ type jsonRow struct {
 	SATWorkers     []sat.WorkerStats `json:"sat_workers,omitempty"`
 	MCWorkerStates []int             `json:"mc_worker_states,omitempty"`
 
-	SpecSolves  int     `json:"spec_solves"`
-	SpecHits    int     `json:"spec_hits"`
-	SpecSolveMS float64 `json:"spec_solve_ms"`
-	SATExported int64   `json:"sat_exported"`
-	SATImported int64   `json:"sat_imported"`
-	ProjHits    int64   `json:"proj_hits"`
-	ProjMisses  int64   `json:"proj_misses"`
-	ProjSaved   int64   `json:"proj_saved_entries"`
+	SATExported int64 `json:"sat_exported"`
+	SATImported int64 `json:"sat_imported"`
+	ProjHits    int64 `json:"proj_hits"`
+	ProjMisses  int64 `json:"proj_misses"`
+	ProjSaved   int64 `json:"proj_saved_entries"`
 
 	ProofLemmas  int     `json:"proof_lemmas,omitempty"`
 	ProofChecked int     `json:"proof_checked,omitempty"`
@@ -61,31 +58,28 @@ type jsonRow struct {
 
 	// Cube-and-conquer columns (absent in reports from single-engine
 	// sweeps and pre-PR7 files; omitempty keeps them diff-clean).
-	Cubes              int   `json:"cubes,omitempty"`
-	CubeWinner         int   `json:"cube_winner,omitempty"`
-	CubeStolen         int64 `json:"cube_stolen,omitempty"`
-	CubeIters          []int `json:"cube_iters,omitempty"`
-	SATBusExported     int64 `json:"sat_bus_exported,omitempty"`
-	SATBusImported     int64 `json:"sat_bus_imported,omitempty"`
-	CubeRemoteTraces   int64 `json:"cube_remote_traces,omitempty"`
-	CubePrunedByRemote int64 `json:"cube_pruned_by_remote,omitempty"`
+	Cubes            int   `json:"cubes,omitempty"`
+	CubeWinner       int   `json:"cube_winner,omitempty"`
+	CubeStolen       int64 `json:"cube_stolen,omitempty"`
+	CubeIters        []int `json:"cube_iters,omitempty"`
+	SATBusExported   int64 `json:"sat_bus_exported,omitempty"`
+	SATBusImported   int64 `json:"sat_bus_imported,omitempty"`
+	CubeRemoteTraces int64 `json:"cube_remote_traces,omitempty"`
 }
 
 // jsonOptions is the engine + host configuration header of a report.
 // A benchmark number is only comparable against another run under the
 // same configuration, so everything that shapes the measurement is
-// recorded here: engine knobs (parallelism, pipeline, clause sharing,
-// POR, proof replay, verifier budget) and the host the run was taken
-// on. The host fields use omitempty so reports written before they
-// existed (BENCH_pr3.json) still round-trip; readers treat an absent
-// field as "unknown", not as a mismatch.
+// recorded here: engine knobs (parallelism, clause sharing, POR, proof
+// replay, verifier budget) as the engine actually ran them, and the
+// host the run was taken on. The host fields use omitempty so reports
+// written before they existed (BENCH_pr3.json) still round-trip;
+// readers treat an absent field as "unknown", not as a mismatch.
 type jsonOptions struct {
 	Parallelism        int    `json:"parallelism"`
-	Pipeline           bool   `json:"pipeline"`
 	ShareClauses       bool   `json:"share_clauses"`
 	POR                bool   `json:"por"`
 	Symmetry           *bool  `json:"symmetry,omitempty"` // pointer: absent in pre-PR6 reports means unknown, not off
-	MCCompress         string `json:"mc_compress,omitempty"`
 	TracesPerIteration int    `json:"traces_per_iteration"`
 	TimeoutMS          int64  `json:"timeout_ms"`
 	Filter             string `json:"filter,omitempty"`
@@ -118,13 +112,16 @@ func ms(d time.Duration) float64 { return float64(d) / float64(time.Millisecond)
 // produced them) to path as indented JSON.
 func WriteJSON(path string, rows []Row, opts Options) error {
 	var rep jsonReport
-	rep.Options.Parallelism = opts.Parallelism
-	rep.Options.Pipeline = !opts.NoPipeline
-	rep.Options.ShareClauses = !opts.NoShareClauses
+	par := opts.Parallelism
+	if par <= 0 {
+		par = runtime.GOMAXPROCS(0) // core's default
+	}
+	rep.Options.Parallelism = par
+	// Clause sharing needs a portfolio, which runs only at par > 1.
+	rep.Options.ShareClauses = par > 1 && !opts.NoShareClauses
 	rep.Options.POR = !opts.NoPOR
 	symOn := !opts.NoSymmetry
 	rep.Options.Symmetry = &symOn
-	rep.Options.MCCompress = opts.MCCompress
 	rep.Options.TracesPerIteration = opts.TracesPerIteration
 	rep.Options.TimeoutMS = opts.Timeout.Milliseconds()
 	rep.Options.Filter = opts.Filter
@@ -150,14 +147,13 @@ func WriteJSON(path string, rows []Row, opts Options) error {
 			MCSymClasses: r.MCSymClasses, MCOrbitHits: r.MCOrbitHits, MCVisitedBytes: r.MCVisitedBytes,
 			SATVars: r.SATVars, SATClauses: r.SATClauses, SATConfl: r.SATConfl,
 			Parallelism: r.Parallelism, SATWorkers: r.SATWorkers, MCWorkerStates: r.MCWorkerStates,
-			SpecSolves: r.SpecSolves, SpecHits: r.SpecHits, SpecSolveMS: ms(r.SpecSolve),
 			SATExported: r.SATExported, SATImported: r.SATImported,
 			ProjHits: r.ProjHits, ProjMisses: r.ProjMisses, ProjSaved: r.ProjSaved,
 			ProofLemmas: r.ProofLemmas, ProofChecked: r.ProofChecked, ProofCheckMS: ms(r.ProofCheck),
 			ThroughputOpsSec: r.Throughput,
 			Cubes:            r.Cubes, CubeWinner: r.CubeWinner, CubeStolen: r.CubeStolen,
 			CubeIters: r.CubeIters, SATBusExported: r.SATBusExported, SATBusImported: r.SATBusImported,
-			CubeRemoteTraces: r.CubeRemoteTraces, CubePrunedByRemote: r.CubePrunedByRemote,
+			CubeRemoteTraces: r.CubeRemoteTraces,
 		}
 		if r.Err != nil {
 			jr.Error = r.Err.Error()

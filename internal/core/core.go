@@ -77,15 +77,6 @@ type Options struct {
 	// NoSymmetry disables the model checker's thread-symmetry (orbit)
 	// reduction (on by default; see mc.Options.NoSymmetry).
 	NoSymmetry bool
-	// MCCompress selects the model checker's visited-set representation:
-	// "" (exact fingerprint table), "collapse", or "bitstate". Non-empty
-	// modes force the verifier sequential (see mc.Options.Compress).
-	MCCompress string
-	// NoPipeline disables the speculative synthesize/verify overlap of
-	// the concurrent engine (on by default at Parallelism > 1; the
-	// pipeline never runs at Parallelism 1, which stays bit-for-bit the
-	// sequential engine).
-	NoPipeline bool
 	// NoShareClauses disables learned-clause exchange between the SAT
 	// portfolio's workers (on by default at Parallelism > 1).
 	NoShareClauses bool
@@ -103,7 +94,7 @@ type Options struct {
 	// returns ErrCanceled.
 	Cancel *atomic.Bool
 	// Trace, when set, receives hierarchical spans for every phase of
-	// the loop: per-iteration solve/verify/project/spec spans, the SAT
+	// the loop: per-iteration solve/verify/project spans, the SAT
 	// backend's per-solve (and per-portfolio-worker) spans, the model
 	// checker's per-check and per-shard-worker spans, and the projection
 	// cache's per-encode spans. Nil disables tracing at zero cost.
@@ -251,15 +242,12 @@ type Stats struct {
 	// MCWorkerStates accumulates the states each verifier worker
 	// expanded across all iterations.
 	MCWorkerStates []int
-	// SpecSolves counts speculative solves launched by the pipelined
-	// engine; SpecHits counts the speculative candidates that survived
-	// the new constraints and were adopted without a blocking solve.
-	// SpecSolve is the wall time those solves ran — overlapped with
-	// verification, so it is NOT part of the critical path that SSolve
-	// measures.
+	// SpecSolves and SpecHits are always 0. They counted the removed
+	// speculative solve/verify pipeline and are kept only because the
+	// perfbench driver (perfbench/traced.go) still reads them; delete
+	// them with the next change to the benchmark.
 	SpecSolves int
 	SpecHits   int
-	SpecSolve  time.Duration
 	// SATExported/SATImported total the clauses exchanged through the
 	// portfolio's shared pool across all workers;
 	// SATBusExported/SATBusImported total the clauses relayed over the
@@ -358,19 +346,9 @@ type Synthesizer struct {
 	warmStart bool
 	released  bool
 
-	// specAct is the activation variable gating speculative blocking
-	// clauses (-1 until first used). Each pipelined iteration adds
-	// (¬specAct ∨ block(cand_k)); a speculative solve assumes specAct,
-	// activating every such clause at once — sound, because by the time
-	// iteration k+1 speculates, candidates 1..k are all permanently
-	// refuted by ungated clauses. Regular solves leave specAct free.
-	specAct int
-
 	// Observability. tr is nil when tracing is off (span calls are then
 	// no-ops); met always points at a registry — Options.Metrics or a
-	// private one — so the counter handles in ct are always valid. The
-	// speculative-solve goroutine bumps its counters concurrently with
-	// the driver; counters are single atomics, so no lock is involved.
+	// private one — so the counter handles in ct are always valid.
 	tr      *obs.Tracer
 	met     *obs.Metrics
 	ct      counters
@@ -420,7 +398,6 @@ type Synthesizer struct {
 type counters struct {
 	iterations, totalNS                    *obs.Counter
 	ssolveNS, smodelNS, vsolveNS, vmodelNS *obs.Counter
-	specSolves, specHits, specNS           *obs.Counter
 	mcStates, mcTrans                      *obs.Counter
 	mcSymClasses, mcOrbitHits              *obs.Counter
 	mcVisitedBytes                         *obs.Counter
@@ -428,7 +405,7 @@ type counters struct {
 	satVars, satClauses, satConfl          *obs.Counter
 	satExported, satImported               *obs.Counter
 	satBusExported, satBusImported         *obs.Counter
-	remoteTraces, prunedRemote             *obs.Counter
+	remoteTraces                           *obs.Counter
 	projHits, projMisses, projSaved        *obs.Counter
 
 	proofLemmas, proofChecked, proofCore, proofCheckNS *obs.Counter
@@ -442,9 +419,6 @@ func newCounters(m *obs.Metrics) counters {
 		smodelNS:     m.Counter(obs.PhaseCounter(obs.PhaseSModel)),
 		vsolveNS:     m.Counter(obs.PhaseCounter(obs.PhaseVSolve)),
 		vmodelNS:     m.Counter(obs.PhaseCounter(obs.PhaseVModel)),
-		specNS:       m.Counter(obs.PhaseCounter(obs.PhaseSpec)),
-		specSolves:   m.Counter("cegis.spec_solves"),
-		specHits:     m.Counter("cegis.spec_hits"),
 		mcStates:     m.Counter("mc.states"),
 		mcTrans:      m.Counter("mc.trans"),
 		mcSymClasses: m.Counter("mc.sym_classes"),
@@ -460,7 +434,6 @@ func newCounters(m *obs.Metrics) counters {
 		satBusExported: m.Counter("sat.bus_exported"),
 		satBusImported: m.Counter("sat.bus_imported"),
 		remoteTraces:   m.Counter("cube.remote_traces"),
-		prunedRemote:   m.Counter("cube.pruned_by_remote"),
 		projHits:       m.Counter("proj.hits"),
 		projMisses:     m.Counter("proj.misses"),
 		projSaved:      m.Counter("proj.saved_entries"),
@@ -484,9 +457,6 @@ func (s *Synthesizer) statsView() Stats {
 		MCTrans:      int(s.ct.mcTrans.Get()),
 		MaxHeap:      uint64(s.ct.heapMax.Get()),
 		Parallelism:  s.opts.Parallelism,
-		SpecSolves:   int(s.ct.specSolves.Get()),
-		SpecHits:     int(s.ct.specHits.Get()),
-		SpecSolve:    time.Duration(s.ct.specNS.Get()),
 		ProofLemmas:  int(s.ct.proofLemmas.Get()),
 		ProofChecked: int(s.ct.proofChecked.Get()),
 		ProofCore:    int(s.ct.proofCore.Get()),
@@ -554,7 +524,7 @@ func newSolver(parallelism int, noShare bool) satSolver {
 // structural constraints of the candidate space.
 func New(sk *desugar.Sketch, opts Options) (*Synthesizer, error) {
 	opts = opts.defaults()
-	s := &Synthesizer{Sk: sk, opts: opts, specAct: -1}
+	s := &Synthesizer{Sk: sk, opts: opts}
 	s.tr = opts.Trace
 	s.met = opts.Metrics
 	if s.met == nil {
@@ -743,11 +713,8 @@ func (s *Synthesizer) maybeSampleHeap(iter int) {
 }
 
 // certifyUNSAT snapshots the recorder and replays the proof of the
-// UNSAT verdict just returned (speculative-solve UNSATs need no
-// certificate of their own: the blocking re-solve that confirms them
-// runs on the same or a larger clause set and is the verdict the loop
-// acts on). A failed replay is a soundness bug and surfaces as an
-// error, never a silent downgrade.
+// UNSAT verdict just returned. A failed replay is a soundness bug and
+// surfaces as an error, never a silent downgrade.
 func (s *Synthesizer) certifyUNSAT(r *drat.Recorder, assumptions []int, what string) (*drat.Certificate, error) {
 	if r == nil {
 		return nil, nil
@@ -935,83 +902,15 @@ func (s *Synthesizer) Synthesize() (*Result, error) {
 	return res, nil
 }
 
-// specResult is what a speculative solve hands back to the driver.
-type specResult struct {
-	cand     desugar.Candidate // model, when found
-	found    bool              // SAT: a next candidate exists
-	canceled bool              // solve was torn down before a verdict
-}
-
-// startSpec launches the speculative solve for the candidate after
-// cand: a gated blocking clause (¬specAct ∨ block(cand)) is added, then
-// a goroutine solves under the assumption specAct and extracts the
-// model. The goroutine owns s.solver until its channel delivers; the
-// driver must join (receive) before touching the solver again. cancel
-// tears the solve down without a verdict. parent is the span the
-// speculative solve nests under (the iteration that launched it).
-func (s *Synthesizer) startSpec(cand desugar.Candidate, parent obs.SpanID) (<-chan specResult, *atomic.Bool) {
-	if s.specAct < 0 {
-		s.specAct = s.solver.NewVar()
-	}
-	lits := []sat.Lit{sat.MkLit(s.specAct, true)}
-	for i, vars := range s.holeVars {
-		for j, sv := range vars {
-			bit := (cand.Value(i)>>uint(j))&1 == 1
-			lits = append(lits, sat.MkLit(sv, bit))
-		}
-	}
-	s.solver.AddClause(lits...)
-
-	sp := s.tr.Start("cegis.spec", parent)
-	if s.tr != nil {
-		// Safe before the goroutine launches: the driver does not touch
-		// the solver again until it joins the result channel.
-		s.solver.SetSpanParent(sp.ID())
-	}
-	cancel := &atomic.Bool{}
-	ch := make(chan specResult, 1)
-	assume := append([]sat.Lit{sat.MkLit(s.specAct, false)}, s.cubeAssume...)
-	go func() {
-		t0 := time.Now()
-		ok, canceled := s.solver.SolveCancel(cancel, assume...)
-		dur := time.Since(t0)
-		r := specResult{canceled: canceled}
-		if !canceled && ok {
-			r.found = true
-			r.cand = s.extractCandidate()
-		}
-		s.ct.specSolves.Add(1)
-		s.ct.specNS.Add(int64(dur))
-		sp.EndDur(dur,
-			obs.Str(obs.AttrPhase, obs.PhaseSpec),
-			obs.Int("found", b2i(r.found)),
-			obs.Int("canceled", b2i(canceled)))
-		ch <- r
-	}()
-	return ch, cancel
-}
-
 // synthesizeConcurrent is the CEGIS loop of §6: candidates are model
 // checked over all interleavings; failing traces are projected onto the
-// candidate space and added as inductive constraints.
-//
-// With Parallelism > 1 (and NoPipeline unset) the loop is pipelined:
-// while the model checker verifies candidate k on the driver goroutine,
-// a speculative goroutine solves for candidate k+1 from the clauses
-// known so far. When the verifier refutes k, the new projection clauses
-// are evaluated directly on the speculative model (b.Eval); a surviving
-// model is adopted without any blocking solve, otherwise the re-solve
-// starts warm from the portfolio's saved phases. Solver ownership
-// alternates strictly — spec goroutine during verification, driver
-// otherwise — with the result channel as the happens-before edge.
+// candidate space and added as inductive constraints. Each iteration
+// is one solve followed by one model check, at every Parallelism.
 func (s *Synthesizer) synthesizeConcurrent() (*Result, error) {
-	pipelined := s.opts.Parallelism > 1 && !s.opts.NoPipeline
 	if s.projCache == nil {
 		s.projCache = project.NewCache(s.b, s.Layout, s.holes)
 	}
 	var lastTrace *mc.Trace
-	var cand desugar.Candidate
-	haveCand := false
 	for iter := 1; iter <= s.opts.MaxIterations; iter++ {
 		s.ct.iterations.Set(int64(iter))
 		if s.canceled() {
@@ -1028,52 +927,28 @@ func (s *Synthesizer) synthesizeConcurrent() (*Result, error) {
 		}
 		// Adopt other cubes' counterexamples before solving: a trace
 		// found in cube 3 prunes this cube's space before it ever
-		// solves (and may refute the candidate held over from the
-		// pipeline, forcing a fresh solve against the tightened space).
+		// solves.
 		if s.opts.TraceBus != nil {
-			alive, err := s.importRemoteTraces(isp.ID(), cand, haveCand)
-			if err != nil {
+			if err := s.importRemoteTraces(isp.ID()); err != nil {
 				endIter("error", 0, 0)
 				return nil, err
 			}
-			haveCand = alive
 		}
-		if !haveCand {
-			c, ok, err := s.nextCandidate(isp.ID())
-			if err != nil {
-				endIter("canceled", 0, 0)
-				return nil, err
-			}
-			if !ok {
-				s.opts.Verbose("iteration %d: candidate space exhausted (UNSAT) — sketch cannot be resolved", iter)
-				cert, cerr := s.certifyUNSAT(s.proof, s.cubeDimacs(), "candidate-space exhaustion")
-				endIter("exhausted", 0, 0)
-				if cerr != nil {
-					return nil, cerr
-				}
-				return &Result{Resolved: false, LastTrace: lastTrace, Certificate: cert}, nil
-			}
-			cand = c
+		cand, ok, err := s.nextCandidate(isp.ID())
+		if err != nil {
+			endIter("canceled", 0, 0)
+			return nil, err
 		}
-		haveCand = false
+		if !ok {
+			s.opts.Verbose("iteration %d: candidate space exhausted (UNSAT) — sketch cannot be resolved", iter)
+			cert, cerr := s.certifyUNSAT(s.proof, s.cubeDimacs(), "candidate-space exhaustion")
+			endIter("exhausted", 0, 0)
+			if cerr != nil {
+				return nil, cerr
+			}
+			return &Result{Resolved: false, LastTrace: lastTrace, Certificate: cert}, nil
+		}
 		s.opts.Verbose("iteration %d: model checking candidate %v", iter, cand)
-
-		var specCh <-chan specResult
-		var specCancel *atomic.Bool
-		if pipelined {
-			specCh, specCancel = s.startSpec(cand, isp.ID())
-		}
-		joinSpec := func(cancel bool) specResult {
-			if specCh == nil {
-				return specResult{}
-			}
-			if cancel {
-				specCancel.Store(true)
-			}
-			r := <-specCh
-			specCh = nil
-			return r
-		}
 
 		vsp := s.tr.Start("cegis.verify", isp.ID())
 		t0 := time.Now()
@@ -1083,7 +958,6 @@ func (s *Synthesizer) synthesizeConcurrent() (*Result, error) {
 			Parallelism: s.opts.Parallelism,
 			NoPOR:       s.opts.NoPOR,
 			NoSymmetry:  s.opts.NoSymmetry,
-			Compress:    s.opts.MCCompress,
 			Cancel:      s.opts.Cancel,
 			Tracer:      s.tr,
 			ParentSpan:  vsp.ID(),
@@ -1092,7 +966,6 @@ func (s *Synthesizer) synthesizeConcurrent() (*Result, error) {
 		s.ct.vsolveNS.Add(int64(d))
 		vsp.EndDur(d, obs.Str(obs.AttrPhase, obs.PhaseVSolve))
 		if err != nil {
-			joinSpec(true)
 			if errors.Is(err, mc.ErrCanceled) {
 				err = ErrCanceled
 				endIter("canceled", 0, 0)
@@ -1123,20 +996,12 @@ func (s *Synthesizer) synthesizeConcurrent() (*Result, error) {
 		s.statsMu.Unlock()
 		s.maybeSampleHeap(iter)
 		if mres.OK {
-			// The speculative next candidate is moot; tear it down.
-			joinSpec(true)
 			s.opts.Verbose("iteration %d: candidate verified (%d states)", iter, mres.States)
 			endIter("resolved", mres.States, 0)
 			return &Result{Resolved: true, Candidate: cand}, nil
 		}
 		lastTrace = mres.Trace
 		s.opts.Verbose("iteration %d: %d counterexample(s): %s", iter, len(mres.Traces), mres.Trace)
-
-		// Reclaim the solver before projecting: the projection adds
-		// clauses. Not canceling here costs nothing on the critical
-		// path — an unfinished speculative solve is exactly the solve
-		// the unpipelined loop would now run in the foreground.
-		spec := joinSpec(false)
 
 		psp := s.tr.Start("cegis.project", isp.ID())
 		if s.tr != nil {
@@ -1145,11 +1010,6 @@ func (s *Synthesizer) synthesizeConcurrent() (*Result, error) {
 		}
 		t0 = time.Now()
 		refuted := false
-		specAlive := spec.found
-		var specAsn map[circuit.Lit]bool
-		if specAlive {
-			specAsn = s.inputAssignment(spec.cand)
-		}
 		candAsn := s.inputAssignment(cand)
 		for _, tr := range mres.Traces {
 			entries := project.Build(s.Prog, tr)
@@ -1166,11 +1026,6 @@ func (s *Synthesizer) synthesizeConcurrent() (*Result, error) {
 			}
 			if s.b.Eval(candAsn, failLit) {
 				refuted = true
-			}
-			// Re-check the speculative candidate against each learned
-			// constraint: it survives only if no new clause refutes it.
-			if specAlive && s.b.Eval(specAsn, failLit) {
-				specAlive = false
 			}
 		}
 		d = time.Since(t0)
@@ -1198,15 +1053,6 @@ func (s *Synthesizer) synthesizeConcurrent() (*Result, error) {
 				s.opts.Verbose("iteration %d: WATCH: clause set now contradicts the watched candidate", iter)
 			}
 		}
-		if specAlive {
-			// The speculative model satisfies every constraint learned
-			// this iteration (and, by construction, everything earlier):
-			// adopt it and skip the next blocking solve entirely.
-			s.ct.specHits.Add(1)
-			s.opts.Verbose("iteration %d: speculative candidate %v survived the new constraints", iter, spec.cand)
-			cand = spec.cand
-			haveCand = true
-		}
 		endIter("refuted", mres.States, len(mres.Traces))
 	}
 	return nil, fmt.Errorf("core: no convergence after %d iterations", s.opts.MaxIterations)
@@ -1220,45 +1066,30 @@ func (s *Synthesizer) synthesizeConcurrent() (*Result, error) {
 // whole-space facts (see internal/project), so installing them in any
 // cube is sound; the encoding goes through AddClause and is therefore
 // logged as a DRAT premise exactly like a locally discovered
-// projection. Returns whether the currently held candidate (if any)
-// survived the imported constraints. The caller must own the solver.
-func (s *Synthesizer) importRemoteTraces(parent obs.SpanID, cand desugar.Candidate, haveCand bool) (bool, error) {
+// projection.
+func (s *Synthesizer) importRemoteTraces(parent obs.SpanID) error {
 	batches, next := s.opts.TraceBus.Fetch(s.traceCursor, s.opts.CubeID)
 	s.traceCursor = next
 	if len(batches) == 0 {
-		return haveCand, nil
+		return nil
 	}
 	sp := s.tr.Start("cube.import", parent)
 	t0 := time.Now()
-	alive := haveCand
-	var candAsn map[circuit.Lit]bool
-	if haveCand {
-		candAsn = s.inputAssignment(cand)
-	}
-	pruned := false
 	for _, b := range batches {
 		failLit, err := s.projCache.Encode(b.Entries)
 		if err != nil {
-			return false, err
+			return err
 		}
 		s.solver.AddClause(s.b.ToSAT(s.solver, s.vmap, failLit.Not()))
-		if alive && s.b.Eval(candAsn, failLit) {
-			alive = false
-			pruned = true
-		}
 	}
 	s.ct.remoteTraces.Add(int64(len(batches)))
-	if pruned {
-		s.ct.prunedRemote.Add(1)
-	}
 	d := time.Since(t0)
 	s.ct.smodelNS.Add(int64(d))
 	sp.EndDur(d,
 		obs.Str(obs.AttrPhase, obs.PhaseSModel),
 		obs.Int("cube.id", int64(s.opts.CubeID)),
-		obs.Int("traces", int64(len(batches))),
-		obs.Int("pruned", b2i(pruned)))
-	return alive, nil
+		obs.Int("traces", int64(len(batches))))
+	return nil
 }
 
 // inputAssignment maps the builder's hole input literals to the bits of

@@ -219,75 +219,6 @@ harness void M() {
 }
 `
 
-// The parallel engine (portfolio + sharded MC) must reach the same
-// verdict as the sequential one on a concurrent sketch, and its
-// resolved candidate must itself verify. This is the race-detector
-// exercise for the whole pipeline.
-func TestParallelSynthesizeMatchesSequential(t *testing.T) {
-	seqSyn := build(t, raceySketch, "M", desugar.Options{}, Options{Parallelism: 1})
-	seqRes, err := seqSyn.Synthesize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	parSyn := build(t, raceySketch, "M", desugar.Options{}, Options{Parallelism: 4})
-	parRes, err := parSyn.Synthesize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parRes.Resolved != seqRes.Resolved {
-		t.Fatalf("verdicts differ: parallel=%v sequential=%v", parRes.Resolved, seqRes.Resolved)
-	}
-	if !parRes.Resolved {
-		t.Fatal("should resolve")
-	}
-	// Any resolved candidate is verified over all interleavings by
-	// construction; for this sketch the atomic branch is the unique
-	// correct choice, so the candidates must agree too.
-	if parRes.Candidate.Value(0) != seqRes.Candidate.Value(0) {
-		t.Fatalf("candidates differ: parallel=%v sequential=%v", parRes.Candidate, seqRes.Candidate)
-	}
-	st := parRes.Stats
-	if st.Parallelism != 4 {
-		t.Fatalf("Stats.Parallelism = %d, want 4", st.Parallelism)
-	}
-	if len(st.SATWorkers) != 4 {
-		t.Fatalf("Stats.SATWorkers has %d entries, want 4", len(st.SATWorkers))
-	}
-	var wins int64
-	for _, w := range st.SATWorkers {
-		wins += w.Wins
-	}
-	if wins < int64(st.Iterations) {
-		t.Fatalf("%d portfolio wins for %d iterations", wins, st.Iterations)
-	}
-	if len(st.MCWorkerStates) == 0 {
-		t.Fatal("no per-worker verifier stats")
-	}
-}
-
-// An unresolvable sketch must still be a definitive NO in parallel
-// mode (every portfolio verdict and every shard verdict is sound).
-func TestParallelUnresolvable(t *testing.T) {
-	syn := build(t, `
-int g = 0;
-harness void M() {
-	fork (i; 2) {
-		int t = g;
-		t = t + 1;
-		g = t;
-	}
-	assert g == 2;
-}
-`, "M", desugar.Options{}, Options{Parallelism: 4})
-	res, err := syn.Synthesize()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Resolved {
-		t.Fatalf("racy increment cannot be resolved; got %v", res.Candidate)
-	}
-}
-
 // Parallelism 1 must be deterministic run to run: same candidate, same
 // iteration count, same conflict totals.
 func TestSequentialModeDeterminism(t *testing.T) {

@@ -89,11 +89,8 @@ type PerCube struct {
 	Stolen bool
 	Remote bool
 	Stats  core.Stats
-	// RemoteTraces counts projections this cube imported from others;
-	// PrunedByRemote counts iterations where an imported projection
-	// refuted the cube's held candidate before it was ever verified.
-	RemoteTraces   int64
-	PrunedByRemote int64
+	// RemoteTraces counts projections this cube imported from others.
+	RemoteTraces int64
 }
 
 // Result is the merged outcome of a cube-and-conquer run.
@@ -367,14 +364,14 @@ func (r *run) finishResolved(id int, cand desugar.Candidate, st core.Stats, stol
 // refutation clause joins the merged proof (RUP — the engine's UNSAT
 // verdict under exactly these assumption literals), and when the last
 // cube exhausts, the caller's merge closes the certificate.
-func (r *run) finishExhausted(id int, st core.Stats, last *mc.Trace, stolen, remote bool, remTraces, pruned int64) {
+func (r *run) finishExhausted(id int, st core.Stats, last *mc.Trace, stolen, remote bool, remTraces int64) {
 	if r.rec != nil {
 		r.rec.AddLemma(drat.CubeClause(r.cubeVars, id))
 	}
 	r.mu.Lock()
 	pc := &r.per[id]
 	pc.Exhausted, pc.Stolen, pc.Remote, pc.Stats = true, stolen, remote, st
-	pc.RemoteTraces, pc.PrunedByRemote = remTraces, pruned
+	pc.RemoteTraces = remTraces
 	if stolen {
 		r.stolen++
 	}
@@ -458,7 +455,7 @@ func (r *run) runCube(id int, tok *atomic.Bool, stolen bool) {
 	case err == nil:
 		endSpan("exhausted")
 		r.finishExhausted(id, res.Stats, res.LastTrace, stolen, false,
-			met.Counter("cube.remote_traces").Get(), met.Counter("cube.pruned_by_remote").Get())
+			met.Counter("cube.remote_traces").Get())
 	case err == core.ErrCanceled || r.decided():
 		endSpan("canceled")
 		r.finishCanceled(id, stolen, false)
@@ -601,9 +598,6 @@ func aggregate(per []PerCube) core.Stats {
 		a.SModel += st.SModel
 		a.VSolve += st.VSolve
 		a.VModel += st.VModel
-		a.SpecSolves += st.SpecSolves
-		a.SpecHits += st.SpecHits
-		a.SpecSolve += st.SpecSolve
 		a.MCStates += st.MCStates
 		a.MCTrans += st.MCTrans
 		a.MCOrbitHits += st.MCOrbitHits

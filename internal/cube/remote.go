@@ -65,16 +65,14 @@ type RemoteOptions struct {
 // (function pointers, buses and tokens are per-process and never
 // marshal).
 type wireCore struct {
-	MaxIterations      int    `json:"max_iterations,omitempty"`
-	MCMaxStates        int    `json:"mc_max_states,omitempty"`
-	TracesPerIteration int    `json:"traces_per_iteration,omitempty"`
-	Parallelism        int    `json:"parallelism,omitempty"`
-	NoPOR              bool   `json:"no_por,omitempty"`
-	NoSymmetry         bool   `json:"no_symmetry,omitempty"`
-	NoPipeline         bool   `json:"no_pipeline,omitempty"`
-	NoShareClauses     bool   `json:"no_share_clauses,omitempty"`
-	MCCompress         string `json:"mc_compress,omitempty"`
-	HeapSampleEvery    int    `json:"heap_sample_every,omitempty"`
+	MaxIterations      int  `json:"max_iterations,omitempty"`
+	MCMaxStates        int  `json:"mc_max_states,omitempty"`
+	TracesPerIteration int  `json:"traces_per_iteration,omitempty"`
+	Parallelism        int  `json:"parallelism,omitempty"`
+	NoPOR              bool `json:"no_por,omitempty"`
+	NoSymmetry         bool `json:"no_symmetry,omitempty"`
+	NoShareClauses     bool `json:"no_share_clauses,omitempty"`
+	HeapSampleEvery    int  `json:"heap_sample_every,omitempty"`
 }
 
 // wireClause is one relayed learnt clause in DIMACS literals, tagged
@@ -95,8 +93,7 @@ type wireClause struct {
 //	proof    joiner → coordinator  (Kind "p"|"l", Clauses; chunked,
 //	                                sent before an exhausted result)
 //	result   joiner → coordinator  (ID, Resolved/Exhausted/Canceled,
-//	                                Candidate, Stats, RemoteTraces,
-//	                                PrunedByRemote)
+//	                                Candidate, Stats, RemoteTraces)
 //	cancel   coordinator → joiner  (race decided; abort current cube)
 //	bye      coordinator → joiner  (no more work)
 //	err      joiner → coordinator  (Error)
@@ -119,13 +116,12 @@ type wireMsg struct {
 	Kind    string  `json:"kind,omitempty"`
 	Clauses [][]int `json:"clauses,omitempty"`
 
-	Resolved       bool              `json:"resolved,omitempty"`
-	Exhausted      bool              `json:"exhausted,omitempty"`
-	Canceled       bool              `json:"canceled,omitempty"`
-	Candidate      desugar.Candidate `json:"candidate,omitempty"`
-	Stats          *core.Stats       `json:"stats,omitempty"`
-	RemoteTraces   int64             `json:"remote_traces,omitempty"`
-	PrunedByRemote int64             `json:"pruned_by_remote,omitempty"`
+	Resolved     bool              `json:"resolved,omitempty"`
+	Exhausted    bool              `json:"exhausted,omitempty"`
+	Canceled     bool              `json:"canceled,omitempty"`
+	Candidate    desugar.Candidate `json:"candidate,omitempty"`
+	Stats        *core.Stats       `json:"stats,omitempty"`
+	RemoteTraces int64             `json:"remote_traces,omitempty"`
 
 	Error string `json:"error,omitempty"`
 }
@@ -339,9 +335,7 @@ func (c *remoteConn) handle() {
 		Parallelism:        c.r.opts.Core.Parallelism,
 		NoPOR:              c.r.opts.Core.NoPOR,
 		NoSymmetry:         c.r.opts.Core.NoSymmetry,
-		NoPipeline:         c.r.opts.Core.NoPipeline,
 		NoShareClauses:     c.r.opts.Core.NoShareClauses,
-		MCCompress:         c.r.opts.Core.MCCompress,
 		HeapSampleEvery:    c.r.opts.Core.HeapSampleEvery,
 	}
 	for {
@@ -428,7 +422,7 @@ func (c *remoteConn) runJob(id int, stolen bool) error {
 				}
 				c.verbose("cube: cube %d exhausted remotely (%d premises, %d lemmas shipped)",
 					id, len(premises), len(lemmas))
-				c.r.finishExhausted(id, st, nil, stolen, true, m.RemoteTraces, m.PrunedByRemote)
+				c.r.finishExhausted(id, st, nil, stolen, true, m.RemoteTraces)
 			default:
 				c.r.finishCanceled(id, stolen, true)
 			}
@@ -564,9 +558,7 @@ func (j *joiner) runJob(job *wireMsg) error {
 		Parallelism:        wc.Parallelism,
 		NoPOR:              wc.NoPOR,
 		NoSymmetry:         wc.NoSymmetry,
-		NoPipeline:         wc.NoPipeline,
 		NoShareClauses:     wc.NoShareClauses,
-		MCCompress:         wc.MCCompress,
 		HeapSampleEvery:    wc.HeapSampleEvery,
 		Cancel:             tok,
 		Cube:               job.Cube,
@@ -700,9 +692,8 @@ loop:
 		}
 		j.verbose("cube: cube %d exhausted after %d iterations", job.ID, o.res.Stats.Iterations)
 		return j.send(&wireMsg{Type: "result", ID: job.ID, Exhausted: true,
-			Stats:          &o.res.Stats,
-			RemoteTraces:   met.Counter("cube.remote_traces").Get(),
-			PrunedByRemote: met.Counter("cube.pruned_by_remote").Get()})
+			Stats:        &o.res.Stats,
+			RemoteTraces: met.Counter("cube.remote_traces").Get()})
 	case errors.Is(o.err, core.ErrCanceled):
 		j.verbose("cube: cube %d canceled", job.ID)
 		return j.send(&wireMsg{Type: "result", ID: job.ID, Canceled: true})

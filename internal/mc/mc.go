@@ -34,9 +34,8 @@
 // per canonical state, which transitions were already explored, so
 // revisits through other paths only do new work. States are fingerprinted
 // with an incrementally maintained Zobrist hash (updated from each
-// step's touched footprint, not recomputed), and Options.Compress can
-// swap the fingerprint table for a SPIN-style collapse-compressed exact
-// table or a lossy bitstate filter; see ARCHITECTURE.md's state-space
+// step's touched footprint, not recomputed) and kept in an exact
+// open-addressed fingerprint table; see ARCHITECTURE.md's state-space
 // reduction stack section for how the pieces interact.
 //
 // # Concurrency contract
@@ -134,15 +133,6 @@ type Options struct {
 	// soundness in tests and to measure its effect. Symmetry is also
 	// off whenever a Hook is set.
 	NoSymmetry bool
-	// Compress selects the visited-set representation: "" (default)
-	// is the exact open-addressed fingerprint table, "collapse" interns
-	// state components SPIN-style and keys on id tuples (exact, full
-	// contents compared), and "bitstate" is SPIN's supertrace — two
-	// bits per state, which can silently prune states on hash aliasing
-	// and so trades the completeness guarantee for memory (reported
-	// counterexamples remain real schedules). Compression forces the
-	// sequential search.
-	Compress string
 	// MaxTraces asks the search to keep going after the first
 	// counterexample and return up to this many distinct failing
 	// traces (default 1, the paper's behaviour). More traces per
@@ -155,8 +145,8 @@ type Options struct {
 	Parallelism int
 	// Cancel, when set and stored true by another goroutine, makes the
 	// search unwind cooperatively; Check then returns ErrCanceled. The
-	// pipelined CEGIS loop uses this to abandon a verification the
-	// speculative solver has already made moot.
+	// CEGIS loop passes its own cancellation token (core.Options.Cancel)
+	// so an aborted synthesis stops mid-verification.
 	Cancel *atomic.Bool
 	// Tracer, when set, emits one "mc.check" span per Check (states,
 	// transitions, POR-pruned and sleep-set-skipped transition counts)
@@ -209,16 +199,6 @@ func Check(l *state.Layout, cand desugar.Candidate, opts Options) (*Result, erro
 	// per-step write lists, so they are built even with POR off.
 	m.pt = buildPOR(l, ir.Footprints(p, cand))
 	m.hz = newHasher(l, m.pt)
-	switch opts.Compress {
-	case "":
-		m.tab = newFpTable()
-	case "collapse":
-		m.col = newCollapse(l)
-	case "bitstate":
-		m.bst = newBitstate(opts.MaxStates)
-	default:
-		return nil, fmt.Errorf("mc: unknown Compress mode %q (want \"\", \"collapse\" or \"bitstate\")", opts.Compress)
-	}
 	m.initEval()
 	m.span = opts.Tracer.Start("mc.check", opts.ParentSpan)
 
@@ -243,13 +223,14 @@ func Check(l *state.Layout, cand desugar.Candidate, opts Options) (*Result, erro
 		}
 	}
 
-	if opts.Parallelism > 1 && opts.Hook == nil && opts.Compress == "" {
+	if opts.Parallelism > 1 && opts.Hook == nil {
 		res, err := m.checkParallel(st)
 		m.finishResult(res)
 		m.endSpan(res, err)
 		return res, err
 	}
 
+	m.tab = newFpTable()
 	var path []Event
 	if err := m.dfs(st, &path); err != nil {
 		m.endSpan(nil, err)
@@ -274,12 +255,7 @@ func (m *checker) finishResult(res *Result) {
 		res.SymClasses = m.sym.classes
 	}
 	res.OrbitHits = m.orbitHits
-	switch {
-	case m.col != nil:
-		res.VisitedBytes = m.col.bytes()
-	case m.bst != nil:
-		res.VisitedBytes = m.bst.bytes()
-	case m.tab != nil:
+	if m.tab != nil {
 		res.VisitedBytes = m.tab.bytes()
 	}
 	if m.pvisited != nil {
@@ -325,12 +301,9 @@ type checker struct {
 	hz  *hasher    // incremental Zobrist hashing (read-only)
 	sym *symAuto   // thread-symmetry group, nil if none (read-only)
 
-	// Exactly one visited backend is set (Options.Compress); the
-	// parallel search uses its striped set instead (pvisited, kept for
-	// the memory estimate).
+	// The sequential search's visited set; the parallel search uses
+	// its striped set instead (pvisited, kept for the memory estimate).
 	tab      *fpTable
-	col      *collapseTab
-	bst      *bitstate
 	pvisited *stripedSet
 
 	states int
@@ -338,10 +311,8 @@ type checker struct {
 	traces []*Trace
 
 	// orbitHits counts visited-set hits reached through a non-identity
-	// orbit representative; symScratch materializes canonical states
-	// for the collapse backend.
-	orbitHits  int64
-	symScratch *state.State
+	// orbit representative.
+	orbitHits int64
 
 	// POR effectiveness counters (plain int adds on the hot path, no
 	// allocation): transitions dropped by the persistent-set choice, and
@@ -506,19 +477,6 @@ func (m *checker) dfsChild(st *state.State, t int, sleep uint64, path *[]Event, 
 	return m.expand(st, sleep, path, h1^b1^a1, h2^b2^a2)
 }
 
-// canonState materializes the canonical orbit representative (st
-// itself under the identity).
-func (m *checker) canonState(st *state.State, act *symElem) *state.State {
-	if act == nil {
-		return st
-	}
-	if m.symScratch == nil {
-		m.symScratch = st.Clone()
-	}
-	m.sym.applyAct(m.symScratch, st, act)
-	return m.symScratch
-}
-
 // done reports whether the trace budget is met.
 func (m *checker) done() bool {
 	return len(m.traces) >= m.opts.MaxTraces
@@ -547,20 +505,7 @@ func (m *checker) expand(st *state.State, sleep uint64, path *[]Event, h1, h2 ui
 		ch1, ch2, act = m.sym.canonKey(st, h1, h2)
 	}
 
-	// Visited lookup through the selected backend. Bitstate stores no
-	// per-state masks: a seen state is never re-expanded, a fresh one
-	// explores its full persistent set minus the local sleep set.
-	var idx int
-	var ce *colEntry
-	var fresh bool
-	switch {
-	case m.bst != nil:
-		fresh = m.bst.visit(ch1, ch2)
-	case m.col != nil:
-		ce, fresh = m.col.slot(m.canonState(st, act))
-	default:
-		idx, fresh = m.tab.slot(key16(ch1, ch2))
-	}
+	idx, fresh := m.tab.slot(key16(ch1, ch2))
 	if !fresh && act != nil {
 		m.orbitHits++
 	}
@@ -598,35 +543,13 @@ func (m *checker) expand(st *state.State, sleep uint64, path *[]Event, h1, h2 ui
 			haveWork = true
 		}
 	}
-	if m.bst != nil {
-		if !fresh || !haveWork {
-			return nil
-		}
-		m.sleepSkips += int64(bits.OnesCount64(pmaskLocal & sleep))
-		todo := pmaskLocal &^ sleep
-		if todo == 0 {
-			return nil
-		}
-		return m.exploreTodo(st, todo, sleep, path, h1, h2)
-	}
-
 	// Stored masks live in the canonical frame: translate local masks
 	// in with act's thread map, translate the claimed work back out.
 	if fresh && haveWork {
-		pmw := pmaskKnown | symFwd(pmaskLocal, act)
-		if ce != nil {
-			ce.pm = pmw
-		} else {
-			m.tab.pm[idx] = pmw
-		}
+		m.tab.pm[idx] = pmaskKnown | symFwd(pmaskLocal, act)
 	}
-	var pmw, doneC uint64
-	if ce != nil {
-		pmw, doneC = ce.pm, ce.done
-	} else {
-		pmw, doneC = m.tab.pm[idx], m.tab.done[idx]
-	}
-	pmaskC := pmw &^ pmaskKnown
+	pmaskC := m.tab.pm[idx] &^ pmaskKnown
+	doneC := m.tab.done[idx]
 	sleepC := symFwd(sleep, act)
 	availC := pmaskC &^ doneC
 	m.sleepSkips += int64(bits.OnesCount64(availC & sleepC))
@@ -635,12 +558,8 @@ func (m *checker) expand(st *state.State, sleep uint64, path *[]Event, h1, h2 ui
 		return nil
 	}
 	// Claim now: the fingerprint table's index is invalidated by
-	// insertions below (collapse entries are stable pointers).
-	if ce != nil {
-		ce.done |= todoC
-	} else {
-		m.tab.done[idx] |= todoC
-	}
+	// insertions below.
+	m.tab.done[idx] |= todoC
 	return m.exploreTodo(st, symInv(todoC, act), sleep, path, h1, h2)
 }
 

@@ -38,6 +38,18 @@ func newStripedSet() *stripedSet {
 	return s
 }
 
+// bytes estimates the striped set's live memory (key, entry, and
+// per-bucket map overhead).
+func (s *stripedSet) bytes() uint64 {
+	var n uint64
+	for i := range s.stripes {
+		s.stripes[i].mu.Lock()
+		n += uint64(len(s.stripes[i].m)) * (16 + 16 + 16)
+		s.stripes[i].mu.Unlock()
+	}
+	return n
+}
+
 // arrive registers the key, reporting whether this call created the
 // entry (exactly one worker counts and classifies each state) plus a
 // snapshot of the done mask and stored pmask word.

@@ -286,6 +286,11 @@ func (t *fpTable) slot(k [16]byte) (int, bool) {
 	return i, true
 }
 
+// bytes estimates the fingerprint table's live memory.
+func (t *fpTable) bytes() uint64 {
+	return uint64(len(t.keys)) * (16 + 8 + 8 + 1)
+}
+
 func (t *fpTable) grow() {
 	old := *t
 	n := len(old.keys) * 2

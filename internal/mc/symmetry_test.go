@@ -59,10 +59,10 @@ func TestSymmetryPinnedCounts(t *testing.T) {
 	}
 }
 
-// Every visited-set backend and the parallel engine must agree on the
+// Every reduction setting and the parallel engine must agree on the
 // verdict (and failure kind) for each outcome class: lost update,
 // verified atomic counter, AB-BA deadlock.
-func TestCompressModesAgree(t *testing.T) {
+func TestSearchConfigsAgree(t *testing.T) {
 	for _, src := range []string{racySrc, atomicSrc, deadlockSrc} {
 		_, l, sk := lower(t, src, desugar.Options{})
 		cand := make(desugar.Candidate, len(sk.Holes))
@@ -72,9 +72,7 @@ func TestCompressModesAgree(t *testing.T) {
 		}
 		for _, o := range []Options{
 			{NoSymmetry: true},
-			{Compress: "collapse"},
-			{Compress: "bitstate"},
-			{Compress: "collapse", NoPOR: true},
+			{NoPOR: true},
 			{Parallelism: 4},
 		} {
 			res, err := Check(l, cand, o)
@@ -92,24 +90,6 @@ func TestCompressModesAgree(t *testing.T) {
 				t.Fatalf("%+v reported zero visited-set bytes", o)
 			}
 		}
-	}
-}
-
-// Collapse compression is exact: on a verified program it must walk
-// exactly the same set of (canonical) states as the fingerprint table.
-func TestCollapseExactStates(t *testing.T) {
-	_, l, sk := lower(t, atomicSrc, desugar.Options{})
-	cand := make(desugar.Candidate, len(sk.Holes))
-	exact, err := Check(l, cand, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	col, err := Check(l, cand, Options{Compress: "collapse"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !exact.OK || !col.OK || col.States != exact.States {
-		t.Fatalf("collapse states=%d, fingerprint table states=%d", col.States, exact.States)
 	}
 }
 
@@ -132,13 +112,5 @@ func TestIncrementalHashCrossCheck(t *testing.T) {
 				t.Fatalf("%+v: %v", o, err)
 			}
 		}
-	}
-}
-
-func TestUnknownCompressMode(t *testing.T) {
-	_, l, sk := lower(t, atomicSrc, desugar.Options{})
-	cand := make(desugar.Candidate, len(sk.Holes))
-	if _, err := Check(l, cand, Options{Compress: "gzip"}); err == nil {
-		t.Fatal("expected an error for an unknown compression mode")
 	}
 }

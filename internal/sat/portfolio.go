@@ -184,8 +184,8 @@ func (p *Portfolio) Solve(assumptions ...Lit) bool {
 // another goroutine sets cancel, every worker unwinds and SolveCancel
 // returns canceled=true with no verdict (unless some worker had already
 // answered, in which case its verdict stands). The portfolio stays
-// incremental either way. This is how the pipelined CEGIS loop tears
-// down a speculative solve the verifier has made moot.
+// incremental either way. This is how a canceled synthesis
+// (core.Options.Cancel) stops an in-flight solve.
 func (p *Portfolio) SolveCancel(cancel *atomic.Bool, assumptions ...Lit) (sat, canceled bool) {
 	if len(p.ws) == 1 {
 		ok, canceled := p.ws[0].SolveCancel(cancel, assumptions...)

@@ -14,9 +14,9 @@ import (
 // tracer the solve path is untouched — one nil check per Solve call.
 //
 // The span parent is plain state set between solves: solver ownership
-// already alternates strictly (the CEGIS driver or the speculative
-// goroutine, never both), and the portfolio repoints its workers before
-// launching the race goroutines.
+// is only ever driven by one goroutine at a time (the CEGIS driver),
+// and the portfolio repoints its workers before launching the race
+// goroutines.
 
 // SetTracer attaches tr (nil disables tracing). Call between solves.
 func (s *Solver) SetTracer(tr *obs.Tracer) {

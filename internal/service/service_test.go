@@ -337,6 +337,9 @@ func TestServiceBadRequests(t *testing.T) {
 		{"parse error", `{"src":"void f() { !!! }"}`, http.StatusBadRequest},
 		{"no harness", `{"src":"void f() { }"}`, http.StatusBadRequest},
 		{"unknown field", `{"sauce":"x"}`, http.StatusBadRequest},
+		// The speculative pipeline was removed; its option is now unknown.
+		{"removed option", `{"src":"int g; harness void M() { fork (i; 1) { g = 1; } }","options":{"no_pipeline":true}}`, http.StatusBadRequest},
+		{"valid options", `{"src":"int g; harness void M() { fork (i; 1) { g = 1; } }","options":{"no_share_clauses":true}}`, http.StatusCreated},
 		{"not json", `hello`, http.StatusBadRequest},
 	}
 	for _, c := range cases {

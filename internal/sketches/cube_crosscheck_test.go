@@ -121,7 +121,7 @@ func serveJoin(t *testing.T, b *Benchmark, test string, proof bool, localWorkers
 			Src: src, Target: "Main", Desugar: b.Opts(test),
 		}, cube.Options{
 			Cubes: 4, Workers: localWorkers, Proof: proof,
-			Core: core.Options{Parallelism: 1, NoPipeline: true},
+			Core: core.Options{Parallelism: 1},
 		}, t.Logf)
 		ch <- out{res, err}
 	}()
@@ -138,9 +138,9 @@ func serveJoin(t *testing.T, b *Benchmark, test string, proof bool, localWorkers
 	}
 	remote := 0
 	for _, pc := range o.res.PerCube {
-		t.Logf("cube %d: resolved=%v exhausted=%v canceled=%v remote=%v stolen=%v iters=%d remtr=%d pruned=%d",
+		t.Logf("cube %d: resolved=%v exhausted=%v canceled=%v remote=%v stolen=%v iters=%d remtr=%d",
 			pc.ID, pc.Resolved, pc.Exhausted, pc.Canceled, pc.Remote, pc.Stolen,
-			pc.Stats.Iterations, pc.RemoteTraces, pc.PrunedByRemote)
+			pc.Stats.Iterations, pc.RemoteTraces)
 		if pc.Remote {
 			remote++
 		}
@@ -194,12 +194,12 @@ func TestCubeRemoteResolves(t *testing.T) {
 
 // cube.Synthesize with Cubes=1 at -j 1 must be byte-identical to the
 // plain sequential engine: same verdict, same per-iteration
-// trajectory, same candidate bits, no cube or pipeline machinery.
+// trajectory, same candidate bits, no cube machinery.
 func TestCubeSequentialModeUnchanged(t *testing.T) {
 	b := QueueE1()
 	test := b.Tests[0]
 	sk := compile(t, b, test)
-	seq := core.Options{Parallelism: 1, NoPipeline: true, NoShareClauses: true}
+	seq := core.Options{Parallelism: 1, NoShareClauses: true}
 
 	syn, err := core.New(sk, seq)
 	if err != nil {

@@ -91,15 +91,6 @@ type Options struct {
 	// NoSymmetry disables the model checker's thread-symmetry (orbit)
 	// reduction (on by default; see ARCHITECTURE.md).
 	NoSymmetry bool
-	// MCCompress selects the model checker's visited-set representation:
-	// "" (exact fingerprint table, the default), "collapse" (exact,
-	// component-interned), or "bitstate" (lossy supertrace; verdicts lose
-	// their completeness guarantee). Non-empty modes force the verifier
-	// sequential.
-	MCCompress string
-	// NoPipeline disables the speculative solve/verify overlap of the
-	// concurrent CEGIS engine (on by default at Parallelism > 1).
-	NoPipeline bool
 	// NoShareClauses disables learned-clause exchange between the SAT
 	// portfolio's workers (on by default at Parallelism > 1) and, under
 	// Cubes > 1, between cubes.
@@ -219,8 +210,6 @@ func (s *Sketch) coreOpts() core.Options {
 		Parallelism:        s.opts.Parallelism,
 		NoPOR:              s.opts.NoPOR,
 		NoSymmetry:         s.opts.NoSymmetry,
-		MCCompress:         s.opts.MCCompress,
-		NoPipeline:         s.opts.NoPipeline,
 		NoShareClauses:     s.opts.NoShareClauses,
 		Proof:              s.opts.Proof,
 		Cancel:             s.opts.Cancel,
@@ -396,8 +385,7 @@ func (s *Sketch) ModelCheck(cand Candidate) (ok bool, counterexample string, err
 	}
 	res, err := mc.Check(layout, cand, mc.Options{
 		MaxStates: s.opts.MCMaxStates, Parallelism: s.opts.Parallelism, NoPOR: s.opts.NoPOR,
-		NoSymmetry: s.opts.NoSymmetry, Compress: s.opts.MCCompress,
-		Cancel: s.opts.Cancel,
+		NoSymmetry: s.opts.NoSymmetry, Cancel: s.opts.Cancel,
 		Tracer: s.opts.Trace, ParentSpan: s.opts.TraceParent,
 	})
 	if err != nil {
