@@ -464,6 +464,16 @@ func Join(addr string, verbose func(string, ...any)) error {
 	for {
 		select {
 		case err := <-j.readErr:
+			// The coordinator closes right after its bye, and select
+			// picks among ready cases at random. The reader queued
+			// everything it decoded before the error, so look there
+			// for a bye before reporting the close.
+			for len(j.msgs) > 0 {
+				if m := <-j.msgs; m.Type == "bye" {
+					verbose("cube: released by coordinator")
+					return nil
+				}
+			}
 			return err
 		case m := <-j.msgs:
 			switch m.Type {
