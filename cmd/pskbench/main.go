@@ -36,7 +36,6 @@ func main() {
 		verbose    = flag.Bool("v", false, "per-iteration progress")
 		par        = flag.Int("j", runtime.GOMAXPROCS(0), "solver/verifier parallelism (use 1 for deterministic paper-comparable runs)")
 		noPOR      = flag.Bool("nopor", false, "disable the verifier's partial-order reduction (ablation)")
-		noSym      = flag.Bool("nosym", false, "disable the verifier's thread-symmetry reduction (ablation)")
 		share      = flag.Bool("share-clauses", true, "share learned clauses between SAT portfolio workers (needs -j > 1)")
 		proof      = flag.Bool("proofcheck", false, "log DRAT proofs and replay every UNSAT verdict through the backward checker")
 		jsonOut    = flag.String("json", "", "write the measured Figure 9 rows to this file as JSON")
@@ -151,7 +150,7 @@ func main() {
 	opts := bench.Options{
 		Filter: *filter, Timeout: *timeout, IncludeExtras: *extras,
 		TracesPerIteration: *traces, Parallelism: *par, NoPOR: *noPOR,
-		NoSymmetry: *noSym, NoShareClauses: !*share, Proof: *proof,
+		NoShareClauses: !*share, Proof: *proof,
 		Cubes: *cubes, CubeWorkers: *cubeWork,
 		RankEmitted: *rankEmit, MaxSolutions: *maxSol,
 		Trace: tr, Metrics: met, HeapSampleEvery: *heapSample,

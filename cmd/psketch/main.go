@@ -34,7 +34,6 @@ func main() {
 		all       = flag.Int("all", 0, "enumerate up to N distinct solutions (0 = first only)")
 		traces    = flag.Int("traces", 1, "counterexample traces per CEGIS iteration")
 		par       = flag.Int("j", runtime.GOMAXPROCS(0), "solver/verifier parallelism (1 = deterministic)")
-		noSym     = flag.Bool("nosym", false, "disable the verifier's thread-symmetry reduction")
 		share     = flag.Bool("share-clauses", true, "share learned clauses between SAT portfolio workers (needs -j > 1)")
 		proof     = flag.Bool("proofcheck", false, "log DRAT proofs and replay every UNSAT verdict through the backward checker")
 		journal   = flag.String("journal", "", "write a structured run journal (JSONL) to this file; inspect with psktrace")
@@ -126,7 +125,6 @@ func main() {
 		TracesPerIteration: *traces,
 		MaxSolutions:       *maxSol,
 		Parallelism:        *par,
-		NoSymmetry:         *noSym,
 		NoShareClauses:     !*share,
 		Proof:              *proof,
 		Cubes:              *cubes,

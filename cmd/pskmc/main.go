@@ -32,7 +32,6 @@ func main() {
 		maxStates  = flag.Int("maxstates", 0, "state budget (0 = default)")
 		par        = flag.Int("j", runtime.GOMAXPROCS(0), "search parallelism (1 = deterministic DFS)")
 		noPOR      = flag.Bool("nopor", false, "disable the partial-order reduction (soundness cross-checks)")
-		noSym      = flag.Bool("nosym", false, "disable the thread-symmetry reduction")
 		timeout    = flag.Duration("timeout", 0, "abort the search after this long (0 = no limit)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -125,7 +124,7 @@ func main() {
 	}
 	sk, err := psketch.Compile(string(src), tgt, psketch.Options{
 		IntWidth: *intWidth, LoopBound: *loopBound, MCMaxStates: *maxStates,
-		Parallelism: *par, NoPOR: *noPOR, NoSymmetry: *noSym, Cancel: &cancel,
+		Parallelism: *par, NoPOR: *noPOR, Cancel: &cancel,
 		Trace: tr, Metrics: met,
 	})
 	if err != nil {

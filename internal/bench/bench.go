@@ -37,11 +37,8 @@ type Row struct {
 	MemMiB      float64
 	MCStates    int
 	MCTrans     int
-	// State-space-reduction columns: symmetry classes on the most
-	// symmetric candidate, orbit-representative visited-set hits, and
-	// the peak visited-set footprint of any single check.
-	MCSymClasses   int
-	MCOrbitHits    int64
+	// MCVisitedBytes is the peak visited-set footprint of any single
+	// check.
 	MCVisitedBytes uint64
 	SATVars        int
 	SATClauses     int
@@ -104,9 +101,6 @@ type Options struct {
 	// NoPOR disables the verifier's partial-order reduction (ablation
 	// runs; the reduction is on by default).
 	NoPOR bool
-	// NoSymmetry disables the verifier's thread-symmetry reduction
-	// (ablation; on by default).
-	NoSymmetry bool
 	// NoShareClauses disables portfolio clause sharing (ablation).
 	NoShareClauses bool
 	// Proof replays every committed UNSAT verdict through the DRAT
@@ -121,7 +115,9 @@ type Options struct {
 	CubeWorkers int
 	// Trace/Metrics forward the observability layer into every run:
 	// each RunOne wraps its synthesis in a "bench.run" span (attrs:
-	// bench, test) and the CEGIS spans nest under it. Nil disables.
+	// bench, test) and the CEGIS spans nest under it. Each row counts
+	// into its own registry, folded into Metrics (see obs.Metrics.Fold)
+	// when the row ends. Nil disables.
 	Trace   *obs.Tracer
 	Metrics *obs.Metrics
 	// HeapSampleEvery forwards core's heap-sampling cadence. The cmds
@@ -175,6 +171,13 @@ func RunOne(b *sketches.Benchmark, test string, opts Options) Row {
 	if b.Name == "dinphilo" && strings.HasPrefix(test, "N=5") && maxStates == 0 {
 		maxStates = 60_000_000
 	}
+	// The row counts into a private registry, so its Stats (the phase,
+	// state and memory columns) cover this row alone; the registry is
+	// folded into the caller's opts.Metrics when the row ends.
+	shared := opts.Metrics
+	opts.Metrics = obs.NewMetrics()
+	defer shared.Fold(opts.Metrics)
+
 	var cancel atomic.Bool
 	rsp := opts.Trace.Start(obs.SpanBenchRun, 0)
 	endRun := func(status string) {
@@ -188,7 +191,6 @@ func RunOne(b *sketches.Benchmark, test string, opts Options) Row {
 		TracesPerIteration: opts.TracesPerIteration,
 		Parallelism:        opts.Parallelism,
 		NoPOR:              opts.NoPOR,
-		NoSymmetry:         opts.NoSymmetry,
 		NoShareClauses:     opts.NoShareClauses,
 		Proof:              opts.Proof,
 		Cancel:             &cancel,
@@ -286,8 +288,6 @@ func RunOne(b *sketches.Benchmark, test string, opts Options) Row {
 	row.MemMiB = float64(res.Stats.MaxHeap) / (1 << 20)
 	row.MCStates = res.Stats.MCStates
 	row.MCTrans = res.Stats.MCTrans
-	row.MCSymClasses = res.Stats.MCSymClasses
-	row.MCOrbitHits = res.Stats.MCOrbitHits
 	row.MCVisitedBytes = res.Stats.MCVisitedBytes
 	row.SATVars = res.Stats.SATVars
 	row.SATClauses = res.Stats.SATClauses

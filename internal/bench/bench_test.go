@@ -2,10 +2,12 @@ package bench
 
 import (
 	"bytes"
+	"io"
 	"strings"
 	"testing"
 	"time"
 
+	"psketch/internal/obs"
 	"psketch/internal/sketches"
 )
 
@@ -34,6 +36,37 @@ func TestRunOneQueueE1(t *testing.T) {
 	}
 	if row.LogC < 0.5 || row.LogC > 0.7 {
 		t.Fatalf("logC %f", row.LogC)
+	}
+}
+
+// A sweep that shares one registry (pskbench's -journal/-debug-addr
+// registry) must still report each row's own work, and the shared
+// registry must sum the rows. Pinned to Parallelism 1 so a row's work
+// counters are reproducible.
+func TestSweepRowsArePerRow(t *testing.T) {
+	opts := Options{Filter: "queueE1", Timeout: 2 * time.Minute, Parallelism: 1}
+	shared := opts
+	shared.Metrics = obs.NewMetrics()
+	rows := RunFig9(io.Discard, shared)
+	if len(rows) != 3 {
+		t.Fatalf("rows %d, want queueE1's 3 tests", len(rows))
+	}
+	var states int64
+	for _, r := range rows {
+		alone := RunOne(sketches.ByName(r.Bench), r.Test, opts)
+		if r.Err != nil || alone.Err != nil {
+			t.Fatalf("%s: sweep err %v, alone err %v", r.Test, r.Err, alone.Err)
+		}
+		if r.Itns != alone.Itns || r.MCStates != alone.MCStates ||
+			r.MCTrans != alone.MCTrans || r.SATConfl != alone.SATConfl {
+			t.Errorf("%s: sweep row itns/states/trans/conflicts %d/%d/%d/%d, alone %d/%d/%d/%d",
+				r.Test, r.Itns, r.MCStates, r.MCTrans, r.SATConfl,
+				alone.Itns, alone.MCStates, alone.MCTrans, alone.SATConfl)
+		}
+		states += int64(r.MCStates)
+	}
+	if got := shared.Metrics.Counter("mc.states").Get(); got != states {
+		t.Errorf("shared registry mc.states %d, want the rows' sum %d", got, states)
 	}
 }
 

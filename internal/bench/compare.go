@@ -253,9 +253,6 @@ func compareOptions(g *GateResult, b, c jsonOptions) {
 	if b.POR != c.POR {
 		g.warnf("config: por %v vs baseline %v", c.POR, b.POR)
 	}
-	if b.Symmetry != nil && c.Symmetry != nil && *b.Symmetry != *c.Symmetry {
-		g.warnf("config: symmetry %v vs baseline %v", *c.Symmetry, *b.Symmetry)
-	}
 	if b.TracesPerIteration != c.TracesPerIteration {
 		g.warnf("config: traces_per_iteration %d vs baseline %d", c.TracesPerIteration, b.TracesPerIteration)
 	}

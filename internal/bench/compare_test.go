@@ -184,6 +184,41 @@ func TestGateAcceptsCheckedInBaseline(t *testing.T) {
 	}
 }
 
+// TestGateAcceptsBaselineWithRemovedKeys pins CI's benchgate step:
+// BENCH_pr7.json still carries the removed thread-symmetry keys (the
+// header's symmetry field, the rows' mc_sym_classes and mc_orbit_hits),
+// and a report written today has none of them. The gate must compare
+// the two clean, without a config-skew warning.
+func TestGateAcceptsBaselineWithRemovedKeys(t *testing.T) {
+	data, err := os.ReadFile("../../BENCH_pr7.json")
+	if err != nil {
+		t.Skipf("baseline not present: %v", err)
+	}
+	for _, key := range []string{`"symmetry"`, `"mc_sym_classes"`, `"mc_orbit_hits"`} {
+		if !strings.Contains(string(data), key) {
+			t.Fatalf("BENCH_pr7.json no longer has %s; this test has nothing to check", key)
+		}
+	}
+	var rep jsonReport
+	if err := json.Unmarshal(data, &rep); err != nil {
+		t.Fatal(err)
+	}
+	cand := mustJSON(t, rep)
+	if strings.Contains(string(cand), "sym") || strings.Contains(string(cand), "orbit") {
+		t.Fatalf("a current report still writes a symmetry key: %s", cand)
+	}
+	g, err := Gate(data, cand, GateOptions{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !g.OK() || len(g.Warnings) != 0 {
+		t.Fatalf("gate vs BENCH_pr7.json: failures %v, warnings %v", g.Failures, g.Warnings)
+	}
+	if g.Compared == 0 {
+		t.Fatal("no rows compared against BENCH_pr7.json")
+	}
+}
+
 // journalFor builds a minimal run journal: one bench.run root per
 // entry plus phase-tagged engine spans whose durations scale with the
 // run's wall clock.

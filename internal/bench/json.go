@@ -30,8 +30,6 @@ type jsonRow struct {
 
 	MCStates       int    `json:"mc_states"`
 	MCTrans        int    `json:"mc_trans"`
-	MCSymClasses   int    `json:"mc_sym_classes"`
-	MCOrbitHits    int64  `json:"mc_orbit_hits"`
 	MCVisitedBytes uint64 `json:"mc_visited_bytes"`
 	SATVars        int    `json:"sat_vars"`
 	SATClauses     int    `json:"sat_clauses"`
@@ -79,7 +77,6 @@ type jsonOptions struct {
 	Parallelism        int    `json:"parallelism"`
 	ShareClauses       bool   `json:"share_clauses"`
 	POR                bool   `json:"por"`
-	Symmetry           *bool  `json:"symmetry,omitempty"` // pointer: absent in pre-PR6 reports means unknown, not off
 	TracesPerIteration int    `json:"traces_per_iteration"`
 	TimeoutMS          int64  `json:"timeout_ms"`
 	Filter             string `json:"filter,omitempty"`
@@ -120,8 +117,6 @@ func WriteJSON(path string, rows []Row, opts Options) error {
 	// Clause sharing needs a portfolio, which runs only at par > 1.
 	rep.Options.ShareClauses = par > 1 && !opts.NoShareClauses
 	rep.Options.POR = !opts.NoPOR
-	symOn := !opts.NoSymmetry
-	rep.Options.Symmetry = &symOn
 	rep.Options.TracesPerIteration = opts.TracesPerIteration
 	rep.Options.TimeoutMS = opts.Timeout.Milliseconds()
 	rep.Options.Filter = opts.Filter
@@ -144,8 +139,8 @@ func WriteJSON(path string, rows []Row, opts Options) error {
 			TotalMS: ms(r.Total), SSolveMS: ms(r.SSolve), SModelMS: ms(r.SModel),
 			VSolveMS: ms(r.VSolve), VModelMS: ms(r.VModel), MemMiB: r.MemMiB,
 			MCStates: r.MCStates, MCTrans: r.MCTrans,
-			MCSymClasses: r.MCSymClasses, MCOrbitHits: r.MCOrbitHits, MCVisitedBytes: r.MCVisitedBytes,
-			SATVars: r.SATVars, SATClauses: r.SATClauses, SATConfl: r.SATConfl,
+			MCVisitedBytes: r.MCVisitedBytes,
+			SATVars:        r.SATVars, SATClauses: r.SATClauses, SATConfl: r.SATConfl,
 			Parallelism: r.Parallelism, SATWorkers: r.SATWorkers, MCWorkerStates: r.MCWorkerStates,
 			SATExported: r.SATExported, SATImported: r.SATImported,
 			ProjHits: r.ProjHits, ProjMisses: r.ProjMisses, ProjSaved: r.ProjSaved,

@@ -74,9 +74,6 @@ type Options struct {
 	// reduction (soundness cross-checks and measurement; the reduction
 	// is on by default).
 	NoPOR bool
-	// NoSymmetry disables the model checker's thread-symmetry (orbit)
-	// reduction (on by default; see mc.Options.NoSymmetry).
-	NoSymmetry bool
 	// NoShareClauses disables learned-clause exchange between the SAT
 	// portfolio's workers (on by default at Parallelism > 1).
 	NoShareClauses bool
@@ -222,15 +219,11 @@ type Stats struct {
 	SATConfl   int64
 	MCStates   int
 	MCTrans    int // transitions the model checker executed
-	// MCSymClasses is the largest number of thread-symmetry classes any
-	// verified candidate exhibited; MCOrbitHits totals visited-set hits
-	// that needed a non-identity orbit representative; MCVisitedBytes is
-	// the peak estimated visited-set footprint of any single check.
-	// Unlike the fields above, these three are per-run (tracked on the
-	// synthesizer, not read back from the registry, whose counters of
-	// the same names accumulate across runs sharing one Metrics).
-	MCSymClasses   int
-	MCOrbitHits    int64
+	// MCVisitedBytes is the peak estimated visited-set footprint of any
+	// single check. Unlike the fields above, it is per-run (tracked on
+	// the synthesizer, not read back from the registry, whose counter of
+	// the same name keeps the high-water mark across runs sharing one
+	// Metrics).
 	MCVisitedBytes uint64
 	MaxHeap        uint64 // peak observed heap, bytes
 	// Parallelism is the worker count both phases ran at; the
@@ -251,7 +244,7 @@ type Stats struct {
 	// SATExported/SATImported total the clauses exchanged through the
 	// portfolio's shared pool across all workers;
 	// SATBusExported/SATBusImported total the clauses relayed over the
-	// cross-cube bus. Like the reduction stats above (and unlike in
+	// cross-cube bus. Like MCVisitedBytes above (and unlike in
 	// earlier revisions), all four are per-run deltas tracked on the
 	// synthesizer, so concurrent cube workers and repeated runs sharing
 	// one Metrics registry no longer overwrite each other's registry
@@ -360,13 +353,10 @@ type Synthesizer struct {
 	statsMu        sync.Mutex
 	mcWorkerStates []int
 	satWorkers     []sat.WorkerStats
-	// Per-run reduction stats. The registry counters with the same
-	// names are process-wide (a shared Options.Metrics accumulates
-	// across runs, which is what a live /metrics endpoint wants); these
-	// fields are this synthesizer's own maxima/totals so Stats and
-	// bench rows stay per-run even in a multi-benchmark sweep.
-	runSymClasses   int
-	runOrbitHits    int64
+	// Per-run visited-set peak. The registry counter with the same
+	// name is process-wide (a shared Options.Metrics keeps the maximum
+	// across runs, which is what a live /metrics endpoint wants); this
+	// field is this synthesizer's own maximum so Stats stays per-run.
 	runVisitedBytes uint64
 	// Per-run SAT exchange/conflict stats, same pattern: the solver
 	// backend counts lifetime totals (Enumerate reuses it across runs),
@@ -399,7 +389,6 @@ type counters struct {
 	iterations, totalNS                    *obs.Counter
 	ssolveNS, smodelNS, vsolveNS, vmodelNS *obs.Counter
 	mcStates, mcTrans                      *obs.Counter
-	mcSymClasses, mcOrbitHits              *obs.Counter
 	mcVisitedBytes                         *obs.Counter
 	heapMax                                *obs.Counter
 	satVars, satClauses, satConfl          *obs.Counter
@@ -413,16 +402,14 @@ type counters struct {
 
 func newCounters(m *obs.Metrics) counters {
 	return counters{
-		iterations:   m.Counter("cegis.iterations"),
-		totalNS:      m.Counter("cegis.total_ns"),
-		ssolveNS:     m.Counter(obs.PhaseCounter(obs.PhaseSSolve)),
-		smodelNS:     m.Counter(obs.PhaseCounter(obs.PhaseSModel)),
-		vsolveNS:     m.Counter(obs.PhaseCounter(obs.PhaseVSolve)),
-		vmodelNS:     m.Counter(obs.PhaseCounter(obs.PhaseVModel)),
-		mcStates:     m.Counter("mc.states"),
-		mcTrans:      m.Counter("mc.trans"),
-		mcSymClasses: m.Counter("mc.sym_classes"),
-		mcOrbitHits:  m.Counter("mc.orbit_hits"),
+		iterations: m.Counter("cegis.iterations"),
+		totalNS:    m.Counter("cegis.total_ns"),
+		ssolveNS:   m.Counter(obs.PhaseCounter(obs.PhaseSSolve)),
+		smodelNS:   m.Counter(obs.PhaseCounter(obs.PhaseSModel)),
+		vsolveNS:   m.Counter(obs.PhaseCounter(obs.PhaseVSolve)),
+		vmodelNS:   m.Counter(obs.PhaseCounter(obs.PhaseVModel)),
+		mcStates:   m.Counter("mc.states"),
+		mcTrans:    m.Counter("mc.trans"),
 		// high-water mark across iterations, not a running sum
 		mcVisitedBytes: m.Counter("mc.visited_bytes"),
 		heapMax:        m.Counter("heap.max_bytes"),
@@ -476,8 +463,6 @@ func (s *Synthesizer) statsView() Stats {
 	st.ProjSaved = s.runProjSaved
 	st.WarmStart = s.warmStart
 	s.statsMu.Lock()
-	st.MCSymClasses = s.runSymClasses
-	st.MCOrbitHits = s.runOrbitHits
 	st.MCVisitedBytes = s.runVisitedBytes
 	st.MCWorkerStates = append([]int(nil), s.mcWorkerStates...)
 	st.SATWorkers = append([]sat.WorkerStats(nil), s.satWorkers...)
@@ -957,7 +942,6 @@ func (s *Synthesizer) synthesizeConcurrent() (*Result, error) {
 			MaxTraces:   s.opts.TracesPerIteration,
 			Parallelism: s.opts.Parallelism,
 			NoPOR:       s.opts.NoPOR,
-			NoSymmetry:  s.opts.NoSymmetry,
 			Cancel:      s.opts.Cancel,
 			Tracer:      s.tr,
 			ParentSpan:  vsp.ID(),
@@ -976,14 +960,8 @@ func (s *Synthesizer) synthesizeConcurrent() (*Result, error) {
 		}
 		s.ct.mcStates.Add(int64(mres.States))
 		s.ct.mcTrans.Add(int64(mres.Trans))
-		s.ct.mcSymClasses.Max(int64(mres.SymClasses))
-		s.ct.mcOrbitHits.Add(mres.OrbitHits)
 		s.ct.mcVisitedBytes.Max(int64(mres.VisitedBytes))
 		s.statsMu.Lock()
-		if mres.SymClasses > s.runSymClasses {
-			s.runSymClasses = mres.SymClasses
-		}
-		s.runOrbitHits += mres.OrbitHits
 		if mres.VisitedBytes > s.runVisitedBytes {
 			s.runVisitedBytes = mres.VisitedBytes
 		}

@@ -403,20 +403,6 @@ func (r *run) finishCanceled(id int, stolen, remote bool) {
 	r.outcomes <- struct{}{}
 }
 
-// foldMetrics merges a finished cube's private registry into the
-// coordinator's: sums add, high-water marks max. This keeps a journal
-// trailer written from the parent registry meaningful for the whole
-// distributed run.
-func (r *run) foldMetrics(met *obs.Metrics) {
-	for name, v := range met.Snapshot() {
-		if obs.HighWaterCounters[name] {
-			r.met.Counter(name).Max(v)
-		} else {
-			r.met.Counter(name).Add(v)
-		}
-	}
-}
-
 // runCube executes one cube with a local engine. Returns after
 // recording the outcome.
 func (r *run) runCube(id int, tok *atomic.Bool, stolen bool) {
@@ -447,7 +433,9 @@ func (r *run) runCube(id int, tok *atomic.Bool, stolen bool) {
 		return
 	}
 	res, err := syn.Synthesize()
-	r.foldMetrics(met)
+	// Fold the cube's private registry into the coordinator's, so a
+	// journal trailer written from it covers the whole distributed run.
+	r.met.Fold(met)
 	switch {
 	case err == nil && res.Resolved:
 		endSpan("resolved")
@@ -600,7 +588,6 @@ func aggregate(per []PerCube) core.Stats {
 		a.VModel += st.VModel
 		a.MCStates += st.MCStates
 		a.MCTrans += st.MCTrans
-		a.MCOrbitHits += st.MCOrbitHits
 		a.SATConfl += st.SATConfl
 		a.SATExported += st.SATExported
 		a.SATImported += st.SATImported
@@ -614,9 +601,6 @@ func aggregate(per []PerCube) core.Stats {
 		}
 		if st.SATClauses > a.SATClauses {
 			a.SATClauses = st.SATClauses
-		}
-		if st.MCSymClasses > a.MCSymClasses {
-			a.MCSymClasses = st.MCSymClasses
 		}
 		if st.MCVisitedBytes > a.MCVisitedBytes {
 			a.MCVisitedBytes = st.MCVisitedBytes

@@ -70,7 +70,6 @@ type wireCore struct {
 	TracesPerIteration int  `json:"traces_per_iteration,omitempty"`
 	Parallelism        int  `json:"parallelism,omitempty"`
 	NoPOR              bool `json:"no_por,omitempty"`
-	NoSymmetry         bool `json:"no_symmetry,omitempty"`
 	NoShareClauses     bool `json:"no_share_clauses,omitempty"`
 	HeapSampleEvery    int  `json:"heap_sample_every,omitempty"`
 }
@@ -334,7 +333,6 @@ func (c *remoteConn) handle() {
 		TracesPerIteration: c.r.opts.Core.TracesPerIteration,
 		Parallelism:        c.r.opts.Core.Parallelism,
 		NoPOR:              c.r.opts.Core.NoPOR,
-		NoSymmetry:         c.r.opts.Core.NoSymmetry,
 		NoShareClauses:     c.r.opts.Core.NoShareClauses,
 		HeapSampleEvery:    c.r.opts.Core.HeapSampleEvery,
 	}
@@ -567,7 +565,6 @@ func (j *joiner) runJob(job *wireMsg) error {
 		TracesPerIteration: wc.TracesPerIteration,
 		Parallelism:        wc.Parallelism,
 		NoPOR:              wc.NoPOR,
-		NoSymmetry:         wc.NoSymmetry,
 		NoShareClauses:     wc.NoShareClauses,
 		HeapSampleEvery:    wc.HeapSampleEvery,
 		Cancel:             tok,

@@ -4,7 +4,7 @@
 // assertions, memory safety, deadlock freedom, and bounded termination,
 // and produces a counterexample trace on failure (§6).
 //
-// Four sound reductions keep the state space tractable:
+// Three sound reductions keep the state space tractable:
 //
 //   - steps whose guards are false are skipped without a scheduling
 //     point (they are not executed at all);
@@ -16,25 +16,14 @@
 //     shared cells each step reads and writes (internal/ir), and the
 //     search expands only a persistent subset of the enabled threads at
 //     each state, carrying sleep sets down the DFS to skip commuting
-//     interleavings it has already covered (disable with NoPOR);
-//   - a thread-symmetry (orbit) reduction: ir.Symmetry detects groups
-//     of threads the candidate treats identically (same code, rotatable
-//     locals, interchangeable heap roles), and every visited-set lookup
-//     uses the minimum fingerprint over the state's orbit under the
-//     induced automorphism group, so permutation-equivalent states are
-//     expanded once (disable with NoSymmetry; candidates whose policy
-//     breaks the symmetry get no classes and pay nothing).
+//     interleavings it has already covered (disable with NoPOR).
 //
-// "Visited" therefore means: this state's canonical orbit
-// representative was already expanded under some persistent set that is
-// valid for the whole orbit — stored per-state masks live in the
-// canonical frame and are translated through the automorphism at every
-// lookup, which is what makes the symmetry reduction compose soundly
-// with the POR's persistent/sleep sets. The visited table also records,
-// per canonical state, which transitions were already explored, so
-// revisits through other paths only do new work. States are fingerprinted
-// with an incrementally maintained Zobrist hash (updated from each
-// step's touched footprint, not recomputed) and kept in an exact
+// "Visited" therefore means: this state was already expanded under
+// some persistent set. The visited table also records, per state,
+// which transitions were already explored, so revisits through other
+// paths only do new work. States are fingerprinted with an
+// incrementally maintained Zobrist hash (updated from each step's
+// touched footprint, not recomputed) and kept in an exact
 // open-addressed fingerprint table; see ARCHITECTURE.md's state-space
 // reduction stack section for how the pieces interact.
 //
@@ -128,10 +117,10 @@ type Options struct {
 	// (persistent sets + sleep sets), used to cross-check its soundness
 	// in tests and to measure its effect.
 	NoPOR bool
-	// NoSymmetry disables the thread-symmetry reduction (orbit
-	// canonicalization of visited-set lookups), used to cross-check its
-	// soundness in tests and to measure its effect. Symmetry is also
-	// off whenever a Hook is set.
+	// NoSymmetry has no effect. It disabled the thread-symmetry
+	// (orbit) reduction, which was removed; it is kept only because the
+	// perfbench driver (perfbench/untraced.go) still sets it. Delete it
+	// with the next change to the benchmark.
 	NoSymmetry bool
 	// MaxTraces asks the search to keep going after the first
 	// counterexample and return up to this many distinct failing
@@ -171,12 +160,6 @@ type Result struct {
 	// sequential DFS); WorkerStates counts the states each expanded.
 	Workers      int
 	WorkerStates []int
-	// SymClasses is the number of thread-symmetry classes the search
-	// canonicalized under (0 = candidate asymmetric or reduction off);
-	// OrbitHits counts visited-set hits reached through a non-identity
-	// orbit representative.
-	SymClasses int
-	OrbitHits  int64
 	// VisitedBytes estimates the peak memory held by the visited set.
 	VisitedBytes uint64
 }
@@ -213,16 +196,6 @@ func Check(l *state.Layout, cand desugar.Candidate, opts Options) (*Result, erro
 		}
 	}
 
-	// Thread-symmetry reduction: detect permutation-equivalent thread
-	// rings for this candidate and validate them against the layout and
-	// the post-prologue heap. A Hook observes the raw schedule space,
-	// so canonicalization is off under one.
-	if !opts.NoSymmetry && opts.Hook == nil {
-		if classes := ir.Symmetry(p, cand); len(classes) > 0 {
-			m.sym = buildSym(l, classes, m.pt, st)
-		}
-	}
-
 	if opts.Parallelism > 1 && opts.Hook == nil {
 		res, err := m.checkParallel(st)
 		m.finishResult(res)
@@ -245,16 +218,11 @@ func Check(l *state.Layout, cand desugar.Candidate, opts Options) (*Result, erro
 	return res, nil
 }
 
-// finishResult fills the reduction/memory fields shared by both search
-// modes.
+// finishResult fills the memory estimate shared by both search modes.
 func (m *checker) finishResult(res *Result) {
 	if res == nil {
 		return
 	}
-	if m.sym != nil {
-		res.SymClasses = m.sym.classes
-	}
-	res.OrbitHits = m.orbitHits
 	if m.tab != nil {
 		res.VisitedBytes = m.tab.bytes()
 	}
@@ -285,8 +253,6 @@ func (m *checker) endSpan(res *Result, err error) {
 		obs.Int("workers", int64(res.Workers)),
 		obs.Int("por_pruned", m.porPruned),
 		obs.Int("sleep_skips", m.sleepSkips),
-		obs.Int("sym_classes", int64(res.SymClasses)),
-		obs.Int("orbit_hits", res.OrbitHits),
 		obs.Int("visited_bytes", int64(res.VisitedBytes)))
 }
 
@@ -299,7 +265,6 @@ type checker struct {
 	por bool
 	pt  *porTables // footprints for the fixed candidate (read-only)
 	hz  *hasher    // incremental Zobrist hashing (read-only)
-	sym *symAuto   // thread-symmetry group, nil if none (read-only)
 
 	// The sequential search's visited set; the parallel search uses
 	// its striped set instead (pvisited, kept for the memory estimate).
@@ -309,10 +274,6 @@ type checker struct {
 	states int
 	trans  int
 	traces []*Trace
-
-	// orbitHits counts visited-set hits reached through a non-identity
-	// orbit representative.
-	orbitHits int64
 
 	// POR effectiveness counters (plain int adds on the hot path, no
 	// allocation): transitions dropped by the persistent-set choice, and
@@ -496,22 +457,7 @@ func (m *checker) expand(st *state.State, sleep uint64, path *[]Event, h1, h2 ui
 			panic("mc: incremental fingerprint diverged from full rehash")
 		}
 	}
-	// Orbit canonicalization: look up under the minimal fingerprint
-	// over the state's symmetry orbit; act is the element that reaches
-	// it (nil for the identity).
-	ch1, ch2 := h1, h2
-	var act *symElem
-	if m.sym != nil {
-		ch1, ch2, act = m.sym.canonKey(st, h1, h2)
-	}
-
-	idx, fresh := m.tab.slot(key16(ch1, ch2))
-	if !fresh && act != nil {
-		m.orbitHits++
-	}
-
-	var pmaskLocal uint64
-	haveWork := false
+	idx, fresh := m.tab.slot(key16(h1, h2))
 	if fresh {
 		m.states++
 		if m.states > m.opts.MaxStates {
@@ -535,36 +481,28 @@ func (m *checker) expand(st *state.State, sleep uint64, path *[]Event, h1, h2 ui
 			dtr.Deadlocked = blocked
 			m.record(dtr)
 		default:
-			pmaskLocal = enabled
+			pmask := enabled
 			if m.por {
-				pmaskLocal = m.pt.persistentSet(st, enabled, unfin)
-				m.porPruned += int64(bits.OnesCount64(enabled &^ pmaskLocal))
+				pmask = m.pt.persistentSet(st, enabled, unfin)
+				m.porPruned += int64(bits.OnesCount64(enabled &^ pmask))
 			}
-			haveWork = true
+			m.tab.pm[idx] = pmaskKnown | pmask
 		}
 	}
-	// Stored masks live in the canonical frame: translate local masks
-	// in with act's thread map, translate the claimed work back out.
-	if fresh && haveWork {
-		m.tab.pm[idx] = pmaskKnown | symFwd(pmaskLocal, act)
-	}
-	pmaskC := m.tab.pm[idx] &^ pmaskKnown
-	doneC := m.tab.done[idx]
-	sleepC := symFwd(sleep, act)
-	availC := pmaskC &^ doneC
-	m.sleepSkips += int64(bits.OnesCount64(availC & sleepC))
-	todoC := availC &^ sleepC
-	if todoC == 0 {
+	avail := m.tab.pm[idx] &^ pmaskKnown &^ m.tab.done[idx]
+	m.sleepSkips += int64(bits.OnesCount64(avail & sleep))
+	todo := avail &^ sleep
+	if todo == 0 {
 		return nil
 	}
 	// Claim now: the fingerprint table's index is invalidated by
 	// insertions below.
-	m.tab.done[idx] |= todoC
-	return m.exploreTodo(st, symInv(todoC, act), sleep, path, h1, h2)
+	m.tab.done[idx] |= todo
+	return m.exploreTodo(st, todo, sleep, path, h1, h2)
 }
 
-// exploreTodo executes each claimed transition (todo, in the local
-// thread frame) and recurses; h1, h2 fingerprint st.
+// exploreTodo executes each claimed transition in todo and recurses;
+// h1, h2 fingerprint st.
 func (m *checker) exploreTodo(st *state.State, todo, sleep uint64, path *[]Event, h1, h2 uint64) error {
 	single := todo&(todo-1) == 0
 	explored := uint64(0)

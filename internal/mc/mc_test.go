@@ -363,3 +363,36 @@ func TestHookSeesSchedule(t *testing.T) {
 		t.Fatalf("ok=%v hook events=%d", res.OK, events)
 	}
 }
+
+// Every reduction setting and the parallel engine must agree on the
+// verdict (and failure kind) for each outcome class: lost update,
+// verified atomic counter, AB-BA deadlock.
+func TestSearchConfigsAgree(t *testing.T) {
+	for _, src := range []string{racySrc, atomicSrc, deadlockSrc} {
+		_, l, sk := lower(t, src, desugar.Options{})
+		cand := make(desugar.Candidate, len(sk.Holes))
+		base, err := Check(l, cand, Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, o := range []Options{
+			{NoPOR: true},
+			{Parallelism: 4},
+		} {
+			res, err := Check(l, cand, o)
+			if err != nil {
+				t.Fatalf("%+v: %v", o, err)
+			}
+			if res.OK != base.OK {
+				t.Fatalf("%+v changed the verdict: got %v want %v", o, res.OK, base.OK)
+			}
+			if !res.OK && res.Trace.Failure.Kind != base.Trace.Failure.Kind {
+				t.Fatalf("%+v changed the failure kind: got %v want %v",
+					o, res.Trace.Failure.Kind, base.Trace.Failure.Kind)
+			}
+			if res.VisitedBytes == 0 {
+				t.Fatalf("%+v reported zero visited-set bytes", o)
+			}
+		}
+	}
+}

@@ -3,16 +3,33 @@ package obs
 import "strconv"
 
 // HighWaterCounters names the registry counters that record peaks
-// rather than sums. Everything that folds distributed or multi-journal
-// metrics — cube workers merging private registries, MergeJournals
-// combining trailers — must Max these and Add the rest, or a
-// four-worker run would report four times the real heap high-water.
+// rather than sums. Everything that folds private registries or
+// journals — Metrics.Fold for cube workers and bench rows, MergeJournals
+// for trailers — must Max these and Add the rest, or a four-worker run
+// would report four times the real heap high-water.
 var HighWaterCounters = map[string]bool{
 	"heap.max_bytes":   true,
 	"mc.visited_bytes": true,
-	"mc.sym_classes":   true,
 	"sat.vars":         true,
 	"sat.clauses":      true,
+}
+
+// Fold merges the counters of src into m: high-water counters (see
+// HighWaterCounters) take the maximum, all others add. A run that
+// counts into a private registry folds it into a shared one when it
+// ends, so the shared registry sums whole runs while each run's own
+// registry stays per-run. Either side may be nil.
+func (m *Metrics) Fold(src *Metrics) {
+	if m == nil {
+		return
+	}
+	for name, v := range src.Snapshot() {
+		if HighWaterCounters[name] {
+			m.Counter(name).Max(v)
+		} else {
+			m.Counter(name).Add(v)
+		}
+	}
 }
 
 // MergeJournals combines several run journals — typically one per

@@ -50,6 +50,27 @@ func TestMergeJournals(t *testing.T) {
 	}
 }
 
+// TestMetricsFold checks the registry form of the same rule: sums add,
+// high-water counters max, and a nil side is inert.
+func TestMetricsFold(t *testing.T) {
+	dst, src := NewMetrics(), NewMetrics()
+	dst.Counter("mc.states").Add(5)
+	dst.Counter("heap.max_bytes").Set(100)
+	src.Counter("mc.states").Add(7)
+	src.Counter("heap.max_bytes").Set(70)
+	src.Counter("sat.vars").Set(9)
+	dst.Fold(src)
+	dst.Fold(nil)
+	var none *Metrics
+	none.Fold(src)
+	want := map[string]int64{"mc.states": 12, "heap.max_bytes": 100, "sat.vars": 9}
+	for name, v := range want {
+		if got := dst.Counter(name).Get(); got != v {
+			t.Errorf("%s: got %d, want %d", name, got, v)
+		}
+	}
+}
+
 // TestMergeSummarizeGolden pins the psktrace rendering of a merged
 // journal pair (the multi-process psktrace invocation).
 func TestMergeSummarizeGolden(t *testing.T) {

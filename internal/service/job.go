@@ -46,7 +46,6 @@ type JobOptions struct {
 	Proof         bool `json:"proof,omitempty"`
 	NoShare       bool `json:"no_share_clauses,omitempty"`
 	NoPOR         bool `json:"no_por,omitempty"`
-	NoSymmetry    bool `json:"no_symmetry,omitempty"`
 	// TimeoutMS bounds the job's wall clock; 0 takes (and any value is
 	// clamped to) the server's -job-timeout.
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`

@@ -188,7 +188,6 @@ func (s *Server) jobOptions(o JobOptions) (psketch.Options, time.Duration) {
 		Proof:              o.Proof,
 		NoShareClauses:     o.NoShare,
 		NoPOR:              o.NoPOR,
-		NoSymmetry:         o.NoSymmetry,
 		Warm:               s.warm,
 	}
 	if o.Quadratic {

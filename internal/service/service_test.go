@@ -339,6 +339,8 @@ func TestServiceBadRequests(t *testing.T) {
 		{"unknown field", `{"sauce":"x"}`, http.StatusBadRequest},
 		// The speculative pipeline was removed; its option is now unknown.
 		{"removed option", `{"src":"int g; harness void M() { fork (i; 1) { g = 1; } }","options":{"no_pipeline":true}}`, http.StatusBadRequest},
+		// So was the thread-symmetry reduction.
+		{"removed symmetry option", `{"src":"int g; harness void M() { fork (i; 1) { g = 1; } }","options":{"no_symmetry":true}}`, http.StatusBadRequest},
 		{"valid options", `{"src":"int g; harness void M() { fork (i; 1) { g = 1; } }","options":{"no_share_clauses":true}}`, http.StatusCreated},
 		{"not json", `hello`, http.StatusBadRequest},
 	}

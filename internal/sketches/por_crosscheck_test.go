@@ -8,14 +8,16 @@ import (
 	"psketch/internal/interp"
 	"psketch/internal/ir"
 	"psketch/internal/mc"
+	"psketch/internal/oracle"
 	"psketch/internal/state"
 )
 
 // This file cross-checks the model checker's partial-order reduction
-// against the unreduced search, sketch by sketch: the verdicts must be
-// identical under every combination of {POR, NoPOR} × {local fusion on,
-// off} × {sequential, parallel}, every POR counterexample must replay
-// to the same failure on a concrete interpreter, and on the paper
+// against the unreduced search and the naive reference checker, sketch
+// by sketch: the verdicts must be identical under every combination of
+// {POR, NoPOR} × {local fusion on, off} × {sequential, parallel} and
+// agree with internal/oracle, every POR counterexample must replay to
+// the same failure on a concrete interpreter, and on the paper
 // benchmarks POR must explore strictly fewer states.
 
 func lowerBench(t *testing.T, b *Benchmark, test string) *state.Layout {
@@ -230,7 +232,9 @@ func replayToFailure(l *state.Layout, st *state.State, th int, cand desugar.Cand
 // TestPORCrossCheckAllSketches model checks the all-zero candidate of
 // every Table 1 benchmark under {POR, NoPOR} × {fusion, NoLocalFusion}
 // × {-j 1, -j N}: the verdict must be identical in all eight
-// configurations, and every POR counterexample must replay concretely.
+// configurations and equal the naive reference checker's
+// (oracle.CheckExhaustive, no reduction beyond guard skipping), and
+// every POR counterexample must replay concretely.
 func TestPORCrossCheckAllSketches(t *testing.T) {
 	jN := runtime.GOMAXPROCS(0)
 	if jN < 2 {
@@ -250,7 +254,14 @@ func TestPORCrossCheckAllSketches(t *testing.T) {
 				t.Fatal(err)
 			}
 			cand := make(desugar.Candidate, len(sk.Holes))
-			want := -1 // 0/1 verdict across configurations
+			ref, err := oracle.CheckExhaustive(l, cand, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			want := 0 // 0/1 verdict, the oracle's
+			if ref.OK {
+				want = 1
+			}
 			for _, fusionOff := range []bool{false, true} {
 				for _, noPOR := range []bool{false, true} {
 					for _, j := range []int{1, jN} {
@@ -261,11 +272,9 @@ func TestPORCrossCheckAllSketches(t *testing.T) {
 						if res.OK {
 							got = 1
 						}
-						if want == -1 {
-							want = got
-						} else if got != want {
-							t.Fatalf("verdict flips: NoPOR=%v NoLocalFusion=%v j=%d: OK=%v (want %v)",
-								noPOR, fusionOff, j, res.OK, want == 1)
+						if got != want {
+							t.Fatalf("verdict differs from the oracle's: NoPOR=%v NoLocalFusion=%v j=%d: OK=%v (oracle %v)",
+								noPOR, fusionOff, j, res.OK, ref.OK)
 						}
 						if !res.OK && !noPOR {
 							replayTrace(t, l, cand, res.Trace)

@@ -4,22 +4,17 @@ import (
 	"testing"
 
 	"psketch/internal/desugar"
-	"psketch/internal/ir"
 	"psketch/internal/mc"
 	"psketch/internal/oracle"
 )
 
-// This file cross-checks the orbit reduction and the parallel search
-// against the unreduced search and the naive reference checker, sketch
-// by sketch: verdicts must be identical, and every
-// counterexample found under a reduction must replay to the same
-// failure on a concrete interpreter.
-
-// TestSymmetryCrossCheckAllSketches sweeps every benchmark through the
-// symmetry and parallel-search configurations with the zero candidate
-// and demands one verdict, replaying each counterexample. The naive
-// reference checker (which applies no reduction beyond normalization)
-// must agree on that verdict too.
+// TestSymmetryCrossCheckAllSketches sweeps every benchmark's zero
+// candidate through {NoSymmetry}, the default and a parallel search and
+// demands the naive reference checker's verdict from each, replaying
+// every counterexample. mc.Options.NoSymmetry no longer selects a
+// search (the thread-symmetry reduction it used to disable is gone) but
+// is still set by existing callers, so at -j 1 it must also leave the
+// state and transition counts exactly as the default search has them.
 func TestSymmetryCrossCheckAllSketches(t *testing.T) {
 	for _, b := range All() {
 		b := b
@@ -32,76 +27,24 @@ func TestSymmetryCrossCheckAllSketches(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for _, o := range []mc.Options{
+			var res [3]*mc.Result
+			for i, o := range []mc.Options{
 				{NoSymmetry: true},
 				{},
 				{Parallelism: 4},
 			} {
-				res := mcCheck(t, l, cand, o)
-				if res.OK != v.OK {
-					t.Fatalf("%+v verdict %v, oracle %v", o, res.OK, v.OK)
+				res[i] = mcCheck(t, l, cand, o)
+				if res[i].OK != v.OK {
+					t.Fatalf("%+v verdict %v, oracle %v", o, res[i].OK, v.OK)
 				}
-				if !res.OK {
-					replayTrace(t, l, cand, res.Trace)
+				if !res[i].OK {
+					replayTrace(t, l, cand, res[i].Trace)
 				}
 			}
+			if res[0].States != res[1].States || res[0].Trans != res[1].Trans {
+				t.Errorf("NoSymmetry changed the search: states/trans %d/%d, default %d/%d",
+					res[0].States, res[0].Trans, res[1].States, res[1].Trans)
+			}
 		})
-	}
-}
-
-// TestSymmetryStateReduction checks the acceptance bar for the orbit
-// reduction on a genuinely symmetric candidate. The dining-philosophers
-// winner is asymmetric (its policy breaks the ring on one philosopher),
-// so ir.Symmetry correctly reports no classes for it; forcing every
-// policy generator to its `true` arm instead yields a rotation-
-// symmetric — and deadlocking — candidate. The reduced search must
-// reach the same verdict on strictly fewer states, and its
-// counterexample must replay concretely.
-func TestSymmetryStateReduction(t *testing.T) {
-	b, test := DinPhilo(), "N=3,T=5"
-	res, sk := synth(t, b, test, false)
-	if !res.Resolved {
-		t.Fatalf("%s %s did not resolve", b.Name, test)
-	}
-	prog, err := ir.Lower(sk)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cls := ir.Symmetry(prog, res.Candidate); len(cls) != 0 {
-		t.Fatalf("winning candidate should be asymmetric, got %d classes", len(cls))
-	}
-	cand := append(res.Candidate[:0:0], res.Candidate...)
-	for _, h := range sk.Holes {
-		if h.Kind == desugar.HoleChoice && len(h.Label) > 2 && h.Label[:3] == "{|(" {
-			cand[h.ID] = int64(h.Choices - 1)
-		}
-	}
-	if cls := ir.Symmetry(prog, cand); len(cls) != 1 {
-		t.Fatalf("forced candidate should form one ring class, got %d", len(cls))
-	}
-
-	// The forced candidate deadlocks, and a failing search stops at its
-	// first counterexample — a huge trace budget forces both searches to
-	// sweep the whole graph so the state counts are comparable.
-	sweep := 1 << 20
-	l := lowerBench(t, b, test)
-	full := mcCheck(t, l, cand, mc.Options{NoSymmetry: true, MaxTraces: sweep})
-	sym := mcCheck(t, l, cand, mc.Options{MaxTraces: sweep})
-	if sym.OK != full.OK {
-		t.Fatalf("orbit reduction changed the verdict: sym=%v full=%v", sym.OK, full.OK)
-	}
-	if sym.SymClasses != 1 {
-		t.Fatalf("expected 1 symmetry class in the run, got %d", sym.SymClasses)
-	}
-	t.Logf("states: NoSymmetry=%d sym=%d (%.1f%%), orbit hits=%d",
-		full.States, sym.States, 100*float64(sym.States)/float64(full.States), sym.OrbitHits)
-	if sym.States >= full.States {
-		t.Errorf("orbit reduction does not reduce states: %d >= %d", sym.States, full.States)
-	}
-	if sym.OrbitHits == 0 {
-		t.Error("orbit reduction reported no orbit hits on a symmetric sweep")
-	}
-	for _, tr := range sym.Traces {
-		replayTrace(t, l, cand, tr)
 	}
 }

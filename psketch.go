@@ -88,9 +88,6 @@ type Options struct {
 	// reduction (on by default; see ARCHITECTURE.md for the reduction
 	// knobs and their soundness cross-checks).
 	NoPOR bool
-	// NoSymmetry disables the model checker's thread-symmetry (orbit)
-	// reduction (on by default; see ARCHITECTURE.md).
-	NoSymmetry bool
 	// NoShareClauses disables learned-clause exchange between the SAT
 	// portfolio's workers (on by default at Parallelism > 1) and, under
 	// Cubes > 1, between cubes.
@@ -209,7 +206,6 @@ func (s *Sketch) coreOpts() core.Options {
 		TracesPerIteration: s.opts.TracesPerIteration,
 		Parallelism:        s.opts.Parallelism,
 		NoPOR:              s.opts.NoPOR,
-		NoSymmetry:         s.opts.NoSymmetry,
 		NoShareClauses:     s.opts.NoShareClauses,
 		Proof:              s.opts.Proof,
 		Cancel:             s.opts.Cancel,
@@ -385,7 +381,7 @@ func (s *Sketch) ModelCheck(cand Candidate) (ok bool, counterexample string, err
 	}
 	res, err := mc.Check(layout, cand, mc.Options{
 		MaxStates: s.opts.MCMaxStates, Parallelism: s.opts.Parallelism, NoPOR: s.opts.NoPOR,
-		NoSymmetry: s.opts.NoSymmetry, Cancel: s.opts.Cancel,
+		Cancel: s.opts.Cancel,
 		Tracer: s.opts.Trace, ParentSpan: s.opts.TraceParent,
 	})
 	if err != nil {
